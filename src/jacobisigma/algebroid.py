@@ -28,11 +28,11 @@ linear bivector under push_scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
 from . import geometry as geo
-from .expr import Expression
 from .geometry import Chart, DifferentialForm, MultivectorField, SmoothMap
 from . import jacobi
 from .jacobi import InternalConsistencyError
@@ -71,14 +71,11 @@ class AlgebroidStructure:
             assert not extra, f"coefficient uses non-base names {sorted(extra)}"
             return e
 
-        def trivially_zero(e):
-            return isinstance(e, ex.Num) and e.value == 0
-
         rho = {}
         for g, row in (anchor or {}).items():
             assert g in order, f"unknown generator '{g}'"
             row = {a: e for a, e in ((a, clean(v)) for a, v in row.items())
-                   if not trivially_zero(e)}
+                   if not ex.is_exact_zero(e)}
             for a in row:
                 assert a in base_names, f"unknown base coordinate '{a}'"
             if row:
@@ -89,7 +86,7 @@ class AlgebroidStructure:
             assert ga in order and gb in order, f"unknown generator pair {pair}"
             assert order[ga] < order[gb], f"pair {pair} not in generator order"
             row = {k: e for k, e in ((k, clean(v)) for k, v in row.items())
-                   if not trivially_zero(e)}
+                   if not ex.is_exact_zero(e)}
             for k in row:
                 assert k in order, f"unknown generator '{k}'"
             if row:
@@ -99,6 +96,11 @@ class AlgebroidStructure:
     @property
     def rank(self):
         return len(self.generators)
+
+    @cached_property
+    def gen_chart(self) -> Chart:
+        """The generator names as a chart: the key space of AlgebroidForm."""
+        return Chart(self.generators)
 
     def gen_index(self, g: str) -> int:
         return self.generators.index(g)
@@ -175,83 +177,27 @@ def _is_tangent_type(A: AlgebroidStructure) -> bool:
 # algebroid forms and the differential
 
 
-@dataclass(frozen=True)
-class AlgebroidForm:
+class AlgebroidForm(geo._Tensor):
     """A form in the generator duals y^i with coefficients over the base
-    chart; comps are keyed by strictly increasing generator-index tuples."""
-    alg: AlgebroidStructure
-    degree: int
-    comps: dict
+    chart: geometry's tensor container keyed on generator indices (its
+    chart is `alg.gen_chart`), as DifferentialForm is keyed on coordinates."""
 
-    @classmethod
-    def build(cls, alg: AlgebroidStructure, degree: int, comps: Mapping = None):
-        out = {}
-        for key, val in (comps or {}).items():
-            if not isinstance(key, tuple):
-                key = (key,)
-            idx = tuple(alg.gen_index(k) if isinstance(k, str) else int(k)
-                        for k in key)
-            assert len(idx) == degree, f"key {key} has wrong length"
-            assert len(set(idx)) == len(idx), f"repeated generator in {key}"
-            inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx))
-                      if idx[i] > idx[j])
-            srt = tuple(sorted(idx))
-            cur = out.get(srt, ex.ZERO)
-            out[srt] = ex.add(cur, ex.mul(ex.num((-1) ** inv), ex.coerce(val)))
-        out = {k: ex.normalize(v) for k, v in out.items()}
-        out = {k: v for k, v in out.items() if not (isinstance(v, ex.Num) and v.value == 0)}
-        return cls(alg, degree, out)
+    def __init__(self, alg: AlgebroidStructure, degree: int, comps: Mapping = None):
+        self.alg = alg
+        super().__init__(alg.gen_chart, degree, comps)
 
-    def component(self, *key) -> Expression:
-        idx = tuple(self.alg.gen_index(k) if isinstance(k, str) else int(k)
-                    for k in key)
-        srt = tuple(sorted(idx))
-        inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx))
-                  if idx[i] > idx[j])
-        got = self.comps.get(srt, ex.ZERO)
-        return ex.normalize(ex.mul(ex.num((-1) ** inv), got))
+    def _new(self, comps, degree: int = None):
+        return AlgebroidForm(self.alg, self.degree if degree is None else degree,
+                             comps)
 
-    def _new(self, comps):
-        comps = {k: ex.normalize(v) for k, v in comps.items()}
-        comps = {k: v for k, v in comps.items()
-                 if not (isinstance(v, ex.Num) and v.value == 0)}
-        return AlgebroidForm(self.alg, self.degree, comps)
-
-    def __add__(self, other):
-        assert isinstance(other, AlgebroidForm) and other.degree == self.degree
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            out[k] = ex.add(out.get(k, ex.ZERO), v)
-        return self._new(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, cst):
-        cst = ex.coerce(cst)
-        return self._new({k: ex.mul(cst, v) for k, v in self.comps.items()})
-
-    def wedge(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        assert other.alg is self.alg or other.alg == self.alg
-        table = geo._table_product(self.comps, other.comps)
-        return AlgebroidForm(self.alg, self.degree + other.degree, table)._new(table)
-
-    def pretty(self, basis: str = "y") -> str:
-        if not self.comps:
-            return "0"
-        bits = []
-        for key in sorted(self.comps):
-            names = "^".join(f"{basis}[{self.alg.generators[i]}]" for i in key)
-            bits.append(f"({ex.to_text(self.comps[key])}) {names}".strip())
-        return " + ".join(bits)
+    def __repr__(self):
+        return f"AlgebroidForm(deg {self.degree}: {self.pretty('y')})"
 
     def max_abs(self, *, tol=ex.DEFAULT_TOL, trials=ex.DEFAULT_TRIALS,
                 seed=ex.DEFAULT_SEED) -> float:
         box = self.alg.base.sample_box()
-        worst = 0.0
-        for e in self.comps.values():
-            worst = max(worst, ex.max_abs(e, box, trials=trials, seed=seed)[0])
-        return worst
+        return max([0.0] + [ex.max_abs(e, box, trials=trials, seed=seed)[0]
+                            for e in self.comps.values()])
 
     def is_zero(self, *, tol=ex.DEFAULT_TOL, trials=ex.DEFAULT_TRIALS,
                 seed=ex.DEFAULT_SEED) -> bool:
@@ -259,7 +205,7 @@ class AlgebroidForm:
 
 
 def aform(alg: AlgebroidStructure, degree: int, comps: Mapping = None) -> AlgebroidForm:
-    return AlgebroidForm.build(alg, degree, comps)
+    return AlgebroidForm(alg, degree, comps)
 
 
 def aform_from_form(alg: AlgebroidStructure, w: DifferentialForm) -> AlgebroidForm:
@@ -285,7 +231,7 @@ def algebroid_d(A: AlgebroidStructure, w) -> AlgebroidForm:
     """The frame-level differential; on functions d f = sum_i rho_i(f) y^i,
     on generator duals the stored c-table, Leibniz in between."""
     if not isinstance(w, AlgebroidForm):
-        w = AlgebroidForm.build(A, 0, {(): ex.coerce(w)})
+        w = AlgebroidForm(A, 0, {(): ex.coerce(w)})
     assert w.alg.generators == A.generators
     if w.degree > A.rank:
         raise ValueError(f"degree {w.degree} exceeds rank {A.rank}")
@@ -301,8 +247,7 @@ def algebroid_d(A: AlgebroidStructure, w) -> AlgebroidForm:
             dv = ex.ZERO
             for a, r in A.anchor.get(g, {}).items():
                 dv = ex.add(dv, ex.mul(r, ex.differentiate(val, a)))
-            dv = ex.normalize(dv)
-            if isinstance(dv, ex.Num) and dv.value == 0:
+            if ex.is_exact_zero(dv):
                 continue
             merged = geo._merge_indices((i,), key)
             if merged is None:
@@ -321,7 +266,7 @@ def algebroid_d(A: AlgebroidStructure, w) -> AlgebroidForm:
                     continue
                 s2, k2 = m2
                 put(k2, ex.mul(ex.num((-1) ** j * s1 * s2), ex.mul(val, cv)))
-    return AlgebroidForm(A, w.degree + 1, {}, )._new(out)
+    return AlgebroidForm(A, w.degree + 1, out)
 
 
 def d_squared_residuals(A: AlgebroidStructure):
@@ -402,18 +347,18 @@ def from_linear_bivector(P: MultivectorField, fiber_names: Sequence[str] = None,
             if validate and (ex.free_vars(val) & fiber_set):
                 raise LinearityError(names, "anchor block must be fiber-free")
             g = gen_names[j - nb]
-            anchor[g][chart.names[i]] = ex.normalize(ex.neg(val))
+            anchor[g][chart.names[i]] = ex.neg(val)
             continue
         # fiber-fiber: linear homogeneous; c^k = -d val / d xi_k
         ga, gb = gen_names[i - nb], gen_names[j - nb]
         row = {}
         euler = ex.neg(val)
         for k, fk in enumerate(fiber_names):
-            dk = ex.normalize(ex.differentiate(val, fk))
+            dk = ex.differentiate(val, fk)
             if validate and (ex.free_vars(dk) & fiber_set):
                 raise LinearityError(names, "fiber-fiber block must be linear in the fiber")
             euler = ex.add(euler, ex.mul(ex.var(fk), dk))
-            if not (isinstance(dk, ex.Num) and dk.value == 0):
+            if not ex.is_exact_zero(dk):
                 row[gen_names[k]] = ex.neg(dk)
         if validate and not ex.is_zero(euler, box, tol=tol, trials=trials, seed=seed):
             raise LinearityError(names, "fiber-fiber block must be homogeneous of degree 1")
@@ -459,7 +404,7 @@ def rebuild_linear(A: AlgebroidStructure, fiber_names: Sequence[str] = None,
         val = ex.ZERO
         for gk, cv in row.items():
             val = ex.add(val, ex.mul(cv, ex.var(fiber_names[A.gen_index(gk)])))
-        comps[key] = ex.normalize(ex.neg(val))
+        comps[key] = ex.neg(val)
     return geo.mvf(chart, 2, comps)
 
 
@@ -537,19 +482,20 @@ class MorphismReport:
     base_residuals: dict    # dst coord -> AlgebroidForm (degree 1) on src
     gen_residuals: dict     # dst generator -> AlgebroidForm (degree 2) on src
     max_dev: float
+    devs: dict              # ("base" | "gen", label) -> sampled max |residual|
 
     def worst(self):
-        devs = {("base", k): v.max_abs() for k, v in self.base_residuals.items()}
-        devs.update({("gen", k): v.max_abs() for k, v in self.gen_residuals.items()})
-        return max(devs.items(), key=lambda kv: kv[1]) if devs else (None, 0.0)
+        if not self.devs:
+            return None, 0.0
+        return max(self.devs.items(), key=lambda kv: kv[1])
 
     def summary(self) -> str:
         lines = [f"morphism_check: {'PASS' if self.ok else 'FAIL'} "
                  f"(max residual {self.max_dev:.3e})"]
         for k, r in self.base_residuals.items():
-            lines.append(f"  d({k}) equation: {r.pretty()}")
+            lines.append(f"  d({k}) equation: {r.pretty('y')}")
         for k, r in self.gen_residuals.items():
-            lines.append(f"  d F[{k}] equation: {r.pretty()}")
+            lines.append(f"  d F[{k}] equation: {r.pretty('y')}")
         return "\n".join(lines)
 
 
@@ -577,10 +523,12 @@ def morphism_check(phi: VBMorphism, *, tol=ex.DEFAULT_TOL,
                 continue
             rhs = rhs + phi.fiber[ga].wedge(phi.fiber[gb]).scale(phi.base_map.apply(coeff))
         gen_res[g] = lhs - rhs
-    devs = [r.max_abs(trials=trials, seed=seed)
-            for r in list(base_res.values()) + list(gen_res.values())]
-    worst = max(devs) if devs else 0.0
-    return MorphismReport(worst <= tol, base_res, gen_res, worst)
+    devs = {("base", k): r.max_abs(trials=trials, seed=seed)
+            for k, r in base_res.items()}
+    devs.update({("gen", k): r.max_abs(trials=trials, seed=seed)
+                 for k, r in gen_res.items()})
+    worst = max(devs.values()) if devs else 0.0
+    return MorphismReport(worst <= tol, base_res, gen_res, worst, devs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +602,7 @@ class LiftedMorphism:
         out = {}
         for n in dalg.base.names:
             w = dalg.base.weight(n)
-            out[n] = ex.normalize(ex.mul(ex.pow_(nu, w), self.phi.base_map(n)))
+            out[n] = ex.mul(ex.pow_(nu, w), self.phi.base_map(n))
         return out
 
     def fiber_components(self) -> dict:
@@ -741,12 +689,12 @@ def jacobi_morphism_check(psi: LiftedMorphism, *, tol=ex.DEFAULT_TOL,
             if m == n:
                 continue
             lam = J.lam.component(J.chart.index(m), J.chart.index(n))
-            if isinstance(lam, ex.Num) and lam.value == 0:
+            if ex.is_exact_zero(lam):
                 continue
             coeff = ex.div(ex.substitute(lam, sub_x), s_fam)
             rhs = rhs + fform(gen_of[m]).scale(coeff)
         e_n = J.e.component(J.chart.index(n))
-        if not (isinstance(e_n, ex.Num) and e_n.value == 0):
+        if not ex.is_exact_zero(e_n):
             rhs = rhs + fform(gen_of[hp.s_name]).scale(ex.substitute(e_n, sub_x))
         residuals[n] = lhs - rhs
     lhs_s = geo.form(ext, 1, {(src_chart.index(u),): ex.differentiate(s_fam, u)
@@ -754,7 +702,7 @@ def jacobi_morphism_check(psi: LiftedMorphism, *, tol=ex.DEFAULT_TOL,
     rhs_s = geo.form(ext, 1, {})
     for m in x_names:
         e_m = J.e.component(J.chart.index(m))
-        if isinstance(e_m, ex.Num) and e_m.value == 0:
+        if ex.is_exact_zero(e_m):
             continue
         rhs_s = rhs_s + fform(gen_of[m]).scale(ex.neg(ex.substitute(e_m, sub_x)))
     residuals[hp.s_name] = lhs_s - rhs_s
@@ -834,18 +782,18 @@ def jsharp_morphism(J: jacobi.JacobiPair, x_map: SmoothMap, p_forms: Mapping,
             if m == n:
                 continue
             lam = J.lam.component(J.chart.index(m), J.chart.index(n))
-            if isinstance(lam, ex.Num) and lam.value == 0:
+            if ex.is_exact_zero(lam):
                 continue
             if m in p:
                 acc = acc + p[m].scale(x_map.apply(lam))
         e_n = J.e.component(J.chart.index(n))
-        if not (isinstance(e_n, ex.Num) and e_n.value == 0):
+        if not ex.is_exact_zero(e_n):
             acc = acc + z.scale(x_map.apply(e_n))
         fiber[gen_prefix + n] = acc
     vert = AlgebroidForm(src_alg, 1, {})
     for m in names:
         e_m = J.e.component(J.chart.index(m))
-        if isinstance(e_m, ex.Num) and e_m.value == 0:
+        if ex.is_exact_zero(e_m):
             continue
         if m in p:
             vert = vert + p[m].scale(ex.neg(x_map.apply(e_m)))

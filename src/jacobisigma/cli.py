@@ -444,7 +444,8 @@ def cmd_check(args, kw):
             if w is not None:
                 label, wform, _ = w
                 entry["witness"] = {"label": label,
-                                    "max": float(wform.max_abs())}
+                                    "max": float(wform.max_abs(
+                                        trials=kw["trials"], seed=kw["seed"]))}
         checks["lie"] = entry
         if isinstance(obj, alg.RxAlgebroid):
             checks["scaling"] = {"ok": bool(alg.rx_check(obj, **kw))}

@@ -261,7 +261,7 @@ def div(a: ExprLike, b: ExprLike) -> Expression:
         if b.value == 0:
             raise ZeroDivisionError("division by constant zero")
         return mul(Num(1 / b.value), a)
-    if isinstance(a, Num) and a.value == 0:
+    if is_exact_zero(a):
         return ZERO
     return Div(a, b)
 
@@ -308,6 +308,11 @@ def normalize(e: Expression) -> Expression:
     if isinstance(e, Fn):
         return _fn(e.fn, normalize(e.arg))
     raise TypeError(type(e))
+
+
+def is_exact_zero(e) -> bool:
+    """True when e is the constant 0 itself (a structural test, no sampling)."""
+    return isinstance(e, Num) and e.value == 0
 
 
 def free_vars(e: Expression) -> frozenset:
@@ -459,7 +464,17 @@ def evaluate(e: Expression, point: Mapping[str, object]):
 
 # ----- quasi-random zero testing -----
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_PRIMES = [2]
+
+
+def _primes(k: int) -> list:
+    """At least the first k primes; the cached list grows on demand."""
+    while len(_PRIMES) < k:
+        c = _PRIMES[-1] + 1
+        while any(c % q == 0 for q in _PRIMES if q * q <= c):
+            c += 1
+        _PRIMES.append(c)
+    return _PRIMES
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -474,12 +489,12 @@ def _radical_inverse(i: int, base: int) -> float:
 def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
     """Deterministic sample in the box: pure function of (seed, trial)."""
     names = sorted(box)
-    assert len(names) <= len(_PRIMES), "box dimension too large"
+    primes = _primes(len(names))
     start = (seed % 100003) + 17
     pt = {}
     for d, n in enumerate(names):
         lo, hi = box[n]
-        u = _radical_inverse(start + trial, _PRIMES[d])
+        u = _radical_inverse(start + trial, primes[d])
         pt[n] = lo + (hi - lo) * u
     return pt
 

@@ -115,7 +115,9 @@ def _normalize_key(key, chart: Chart):
 
 
 class _Tensor:
-    """Shared container behaviour for MultivectorField / DifferentialForm."""
+    """Shared container behaviour for MultivectorField / DifferentialForm,
+    keyed on the coordinate indices of `chart`, and for
+    algebroid.AlgebroidForm, keyed on generator indices."""
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping = None):
         # degree may exceed dim: such a tensor is necessarily zero
@@ -135,7 +137,7 @@ class _Tensor:
 
     def _drop_zeros(self):
         self.comps = {k: v for k, v in self.comps.items()
-                      if not (isinstance(v, ex.Num) and v.value == 0)}
+                      if not ex.is_exact_zero(v)}
 
     def component(self, *key) -> Expression:
         if not key and self.degree == 0:
@@ -143,8 +145,9 @@ class _Tensor:
         sign, nk = _normalize_key(key, self.chart)
         return ex.mul(ex.num(sign), self.comps.get(nk, ex.ZERO))
 
-    def _new(self, comps):
-        return type(self)(self.chart, self.degree, comps)
+    def _new(self, comps, degree: int = None):
+        return type(self)(self.chart, self.degree if degree is None else degree,
+                          comps)
 
     def __add__(self, other):
         assert type(other) is type(self) and other.chart == self.chart
@@ -156,6 +159,9 @@ class _Tensor:
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+    def wedge(self, other):
+        return wedge(self, other)
 
     def scale(self, c):
         c = ex.coerce(c)
@@ -226,7 +232,7 @@ def _table_product(t1: dict, t2: dict) -> dict:
 
 def wedge(A: _Tensor, B: _Tensor) -> _Tensor:
     assert type(A) is type(B) and A.chart == B.chart
-    return type(A)(A.chart, A.degree + B.degree, _table_product(A.comps, B.comps))
+    return A._new(_table_product(A.comps, B.comps), A.degree + B.degree)
 
 
 # ----- Schouten bracket -----
@@ -280,7 +286,7 @@ def de_rham(w: DifferentialForm) -> DifferentialForm:
     for key, val in w.comps.items():
         for k, name in enumerate(chart.names):
             dv = ex.differentiate(val, name)
-            if isinstance(dv, ex.Num) and dv.value == 0:
+            if ex.is_exact_zero(dv):
                 continue
             m = _merge_indices((k,), key)
             if m is None:
@@ -315,7 +321,7 @@ def tangent_lift(P: MultivectorField, tchart: Chart = None,
         lin = []
         for k, name in enumerate(chart.names):
             dv = ex.differentiate(val, name)
-            if isinstance(dv, ex.Num) and dv.value == 0:
+            if ex.is_exact_zero(dv):
                 continue
             lin.append(ex.mul(ex.var(tchart.names[k + n]), dv))
         if lin:
@@ -372,7 +378,7 @@ def pullback(w: DifferentialForm, smap: SmoothMap) -> DifferentialForm:
             dphi = {}
             for b, uname in enumerate(src.names):
                 dv = ex.differentiate(smap.comps[w.chart.names[a]], uname)
-                if isinstance(dv, ex.Num) and dv.value == 0:
+                if ex.is_exact_zero(dv):
                     continue
                 dphi[(b,)] = dv
             table = _table_product(table, dphi)
@@ -393,7 +399,7 @@ def pushforward(P: MultivectorField, fwd: SmoothMap, inv: SmoothMap) -> Multivec
             jac = {}
             for b, yname in enumerate(dst.names):
                 dv = ex.differentiate(fwd.comps[yname], P.chart.names[a])
-                if isinstance(dv, ex.Num) and dv.value == 0:
+                if ex.is_exact_zero(dv):
                     continue
                 jac[(b,)] = dv
             table = _table_product(table, jac)

@@ -15,6 +15,16 @@ pi_i, and an extra 1-form z.  On top of that this module provides
     2-form and the contact form on the quotient,
   * ``builtin_example`` -- the example gallery wired into the CLI.
 
+The action density and the stationarity system are written once, in u/t
+components, over three backend operations: ``du`` and ``dt`` (derivatives
+of a field component) and ``at`` (a structure coefficient evaluated at the
+base maps).  Two backends implement them.  The exact one differentiates
+and substitutes Expressions, so exact configurations get exact residual
+forms.  The grid one takes np.gradient stencils (edge_order=2) and
+evaluates each coefficient once on the node arrays; a path is the same
+grid backend over the u nodes alone, and its transport equations are the
+u-components of the first two rows below.
+
 Sign conventions follow the rest of the package: the homogeneous
 stationarity system is
 
@@ -29,11 +39,12 @@ eliminating the ds terms row by row (the zero sets agree where s != 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import expr as ex
 from . import geometry as geo
@@ -214,108 +225,156 @@ def _check_boundary(F):
                          "u-boundary for this configuration")
 
 
+# ----------------------------------------------------- the field equations
+
+class _Fields(NamedTuple):
+    """One backend: its three operations and the field components, with
+    1-forms as (u, t) pairs, or (u,) along a path."""
+    du: Callable
+    dt: Callable
+    at: Callable
+    x: dict
+    s: object
+    p: dict
+    z: tuple
+
+
+def _exact_fields(J: JacobiPair, F: FieldConfiguration) -> _Fields:
+    """Exact backend: Expressions in u, t, differentiated and substituted."""
+    xsub = _xsub(J, F)
+
+    def ut(w):
+        return w.component("u"), w.component("t")
+    return _Fields(lambda f: ex.differentiate(f, "u"),
+                   lambda f: ex.differentiate(f, "t"),
+                   lambda e: ex.substitute(e, xsub), F.x, F.s,
+                   {n: ut(F.pi_form(n)) for n in J.chart.names}, ut(F.z))
+
+
+def _grid_fields(x, s, p, z, u: np.ndarray, t: np.ndarray = None) -> _Fields:
+    """Grid backend: arrays over the u nodes (and the t nodes, for a
+    surface); each structure coefficient is evaluated once per backend."""
+    shape = u.shape if t is None else (u.size, t.size)
+
+    @functools.cache
+    def at(e):
+        return np.broadcast_to(np.asarray(ex.evaluate(e, x), float), shape)
+    return _Fields(lambda a: np.gradient(a, u, axis=0, edge_order=2),
+                   lambda a: np.gradient(a, t, axis=1, edge_order=2),
+                   at, x, s, p, z)
+
+
+def _sampled_fields(J: JacobiPair, D: DiscreteFieldConfiguration) -> _Fields:
+    g = D.grid
+    zero = np.zeros((g.nu, g.nt))
+    p = {n: (D.pi_u.get(n, zero), D.pi_t.get(n, zero)) for n in J.chart.names}
+    return _grid_fields(D.x, D.s, p, (D.z_u, D.z_t), g.u_nodes, g.t_nodes)
+
+
+def _wedge(a, c):
+    """(u, t) component of the wedge of two 1-forms."""
+    return a[0] * c[1] - a[1] * c[0]
+
+
+def _density(J: JacobiPair, f: _Fields, variant: str):
+    """(u, t) component of the action density."""
+    if variant not in ACTION_VARIANTS:
+        raise ValueError(f"unknown action variant {variant!r}; "
+                         f"expected one of {ACTION_VARIANTS}")
+    con, red = variant == "constrained", variant == "reduced"
+    if not con and f.s is None:
+        raise ValueError(f"the {variant} action needs a scale field")
+    s, p, z, tn = f.s, f.p, f.z, J.chart.names
+    acc = 0
+    for n in tn:
+        w = _wedge(p[n], (f.du(f.x[n]), f.dt(f.x[n])))
+        acc = acc + (s * w if red else w)
+    if not con:
+        acc = acc + _wedge(z, (f.du(s), f.dt(s)))
+    # (1/2s) sum_{ij} = (1/s) sum over the stored i<j components
+    for (i, j), v in J.lam.comps.items():
+        coeff = f.at(v) if con else s * f.at(v) if red else f.at(v) / s
+        acc = acc + coeff * _wedge(p[tn[i]], p[tn[j]])
+    for (a,), v in J.e.comps.items():
+        if con:
+            acc = acc - f.at(v) * _wedge(p[tn[a]], z)
+        else:
+            acc = acc + (s * f.at(v) if red else f.at(v)) * _wedge(z, p[tn[a]])
+    return acc
+
+
+def _transport(J: JacobiPair, f: _Fields, red: bool) -> dict:
+    """The 1-form rows x:n and s, one entry per component of z."""
+    s, p, z, tn, ix = f.s, f.p, f.z, J.chart.names, J.chart.index
+    ds = (f.du, f.dt)[:len(z)]
+
+    def row(g, terms):
+        out = []
+        for c, dc in enumerate(ds):
+            r = dc(g)
+            for coeff, w in terms:
+                r = r + coeff * w[c]
+            out.append(r)
+        return out
+
+    rows = {}
+    for n in tn:
+        terms = []
+        for m in tn:
+            lam = ex.ZERO if m == n else J.lam.component(ix(n), ix(m))
+            if not ex.is_exact_zero(lam):
+                terms.append((f.at(lam) if red else f.at(lam) / s, p[m]))
+        e = J.e.component(ix(n))
+        if not ex.is_exact_zero(e):
+            terms.append((-f.at(e), z))
+        rows[f"x:{n}"] = row(f.x[n], terms)
+    rows["s"] = row(s, [(f.at(v) * s if red else f.at(v), p[tn[a]])
+                        for (a,), v in J.e.comps.items()])
+    return rows
+
+
+def _stationarity(J: JacobiPair, f: _Fields, variant: str):
+    """The stationarity system of the module docstring, as (1-form rows
+    x:n and s as (u, t) pairs, 2-form rows pi:n or p:n and z as their
+    (u, t) component)."""
+    red = variant == "reduced"
+    if f.s is None:
+        raise ValueError(f"the {variant} residuals need a scale field")
+    s, p, z, tn = f.s, f.p, f.z, J.chart.names
+
+    def d1(w):
+        return -f.dt(w[0]) + f.du(w[1])
+
+    two = {}
+    for k in tn:
+        r = d1(p[k])
+        for (i, j), v in J.lam.comps.items():
+            dv = ex.differentiate(v, k)
+            if not ex.is_exact_zero(dv):
+                coeff = f.at(dv) if red else f.at(dv) / s
+                r = r + coeff * _wedge(p[tn[i]], p[tn[j]])
+        for (a,), v in J.e.comps.items():
+            dv = ex.differentiate(v, k)
+            if not ex.is_exact_zero(dv):
+                r = r + f.at(dv) * _wedge(z, p[tn[a]])
+        if red:
+            for (a,), v in J.e.comps.items():
+                r = r - f.at(v) * _wedge(p[tn[a]], p[k])
+        two[f"{'p' if red else 'pi'}:{k}"] = r
+    r = d1(z)
+    for (i, j), v in J.lam.comps.items():
+        coeff = f.at(v) if red else f.at(v) / (s * s)
+        r = r - coeff * _wedge(p[tn[i]], p[tn[j]])
+    two["z"] = r
+    return _transport(J, f, red), two
+
+
 # -------------------------------------------------------------- actions
 
 def _action_density(J: JacobiPair, F: FieldConfiguration,
                     variant: str) -> DifferentialForm:
-    ch, tn = F.chart, J.chart.names
-    xsub = _xsub(J, F)
-    lamX = {(tn[a], tn[b]): ex.substitute(v, xsub)
-            for (a, b), v in J.lam.comps.items()}
-    eX = {tn[a]: ex.substitute(v, xsub) for (a,), v in J.e.comps.items()}
-    dX = {n: d0(ch, F.x[n]) for n in tn}
-    p = {n: F.pi_form(n) for n in tn}
-    z = F.z
-    acc = geo.form(ch, 2, {})
-
-    if variant in ("homogeneous", "reduced"):
-        if F.s is None:
-            raise ValueError(f"the {variant} action needs a scale field")
-        s = F.s
-        ds = d0(ch, s)
-        if variant == "homogeneous":
-            for n in tn:
-                acc = acc + geo.wedge(p[n], dX[n])
-            acc = acc + geo.wedge(z, ds)
-            # (1/2s) sum_{ij} = (1/s) sum over the stored i<j components
-            for (i, j), v in lamX.items():
-                acc = acc + geo.wedge(p[i], p[j]).scale(v / s)
-            for n, v in eX.items():
-                acc = acc + geo.wedge(z, p[n]).scale(v)
-        else:
-            for n in tn:
-                acc = acc + geo.wedge(p[n], dX[n]).scale(s)
-            acc = acc + geo.wedge(z, ds)
-            for (i, j), v in lamX.items():
-                acc = acc + geo.wedge(p[i], p[j]).scale(s * v)
-            for n, v in eX.items():
-                acc = acc + geo.wedge(z, p[n]).scale(s * v)
-    elif variant == "constrained":
-        for n in tn:
-            acc = acc + geo.wedge(p[n], dX[n])
-        for (i, j), v in lamX.items():
-            acc = acc + geo.wedge(p[i], p[j]).scale(v)
-        for n, v in eX.items():
-            acc = acc - geo.wedge(p[n], z).scale(v)
-    else:
-        raise ValueError(f"unknown action variant {variant!r}; "
-                         f"expected one of {ACTION_VARIANTS}")
-    return acc
-
-
-def _density_arrays(J: JacobiPair, D: DiscreteFieldConfiguration,
-                    variant: str) -> np.ndarray:
-    g = D.grid
-    u, t = g.u_nodes, g.t_nodes
-    tn = J.chart.names
-    shape = (g.nu, g.nt)
-
-    def at_x(e):
-        v = ex.evaluate(e, D.x)
-        return np.broadcast_to(np.asarray(v, float), shape)
-
-    def ddu(a):
-        return np.gradient(a, u, axis=0, edge_order=2)
-
-    def ddt(a):
-        return np.gradient(a, t, axis=1, edge_order=2)
-
-    pu = {n: D.pi_u.get(n, np.zeros(shape)) for n in tn}
-    pt = {n: D.pi_t.get(n, np.zeros(shape)) for n in tn}
-    dxu = {n: ddu(D.x[n]) for n in tn}
-    dxt = {n: ddt(D.x[n]) for n in tn}
-    acc = np.zeros(shape)
-
-    if variant in ("homogeneous", "reduced"):
-        if D.s is None:
-            raise ValueError(f"the {variant} action needs a scale field")
-        s = D.s
-        dsu, dst = ddu(s), ddt(s)
-        fac = (1.0 / s) if variant == "homogeneous" else s
-        pref = np.ones(shape) if variant == "homogeneous" else s
-        for n in tn:
-            acc += pref * (pu[n] * dxt[n] - pt[n] * dxu[n])
-        acc += D.z_u * dst - D.z_t * dsu
-        for (a, b), v in J.lam.comps.items():
-            i, j = tn[a], tn[b]
-            acc += fac * at_x(v) * (pu[i] * pt[j] - pt[i] * pu[j])
-        epre = np.ones(shape) if variant == "homogeneous" else s
-        for (a,), v in J.e.comps.items():
-            n = tn[a]
-            acc += epre * at_x(v) * (D.z_u * pt[n] - D.z_t * pu[n])
-    elif variant == "constrained":
-        for n in tn:
-            acc += pu[n] * dxt[n] - pt[n] * dxu[n]
-        for (a, b), v in J.lam.comps.items():
-            i, j = tn[a], tn[b]
-            acc += at_x(v) * (pu[i] * pt[j] - pt[i] * pu[j])
-        for (a,), v in J.e.comps.items():
-            n = tn[a]
-            acc -= at_x(v) * (pu[n] * D.z_t - pt[n] * D.z_u)
-    else:
-        raise ValueError(f"unknown action variant {variant!r}; "
-                         f"expected one of {ACTION_VARIANTS}")
-    return acc
+    return geo.form(F.chart, 2,
+                    {("u", "t"): _density(J, _exact_fields(J, F), variant)})
 
 
 def action(structure, F, variant: str = "homogeneous",
@@ -339,7 +398,7 @@ def action(structure, F, variant: str = "homogeneous",
     elif isinstance(F, DiscreteFieldConfiguration):
         if variant != "constrained" and D_s_min(F) < S_FLOOR:
             raise ValueError("scale field drops below 1e-06 on the grid")
-        vals = _density_arrays(J, F, variant)
+        vals = _density(J, _sampled_fields(J, F), variant)
         grid = F.grid
     else:
         raise TypeError("expected a FieldConfiguration or "
@@ -381,148 +440,6 @@ class ELReport:
         return "\n".join(out)
 
 
-def _symbolic_residuals(J: JacobiPair, F: FieldConfiguration,
-                        variant: str) -> dict:
-    ch, tn = F.chart, J.chart.names
-    xsub = _xsub(J, F)
-    at = lambda e_: ex.substitute(e_, xsub)
-    dX = {n: d0(ch, F.x[n]) for n in tn}
-    p = {n: F.pi_form(n) for n in tn}
-    z = F.z
-    s = F.s
-    if s is None:
-        raise ValueError(f"the {variant} residuals need a scale field")
-    ds = d0(ch, s)
-    res = {}
-
-    for n in tn:
-        acc = dX[n]
-        for m in tn:
-            if m == n:
-                continue
-            lnm = J.lam.component(J.chart.index(n), J.chart.index(m))
-            if lnm == ex.ZERO:
-                continue
-            coeff = at(lnm) if variant == "reduced" else at(lnm) / s
-            acc = acc + p[m].scale(coeff)
-        en = J.e.component(J.chart.index(n))
-        if en != ex.ZERO:
-            acc = acc - z.scale(at(en))
-        res[f"x:{n}"] = acc
-
-    acc = ds
-    for (a,), v in J.e.comps.items():
-        coeff = at(v) * s if variant == "reduced" else at(v)
-        acc = acc + p[tn[a]].scale(coeff)
-    res["s"] = acc
-
-    for kname in tn:
-        acc = geo.de_rham(p[kname])
-        for (a, b), v in J.lam.comps.items():
-            dv = ex.differentiate(v, kname)
-            if dv == ex.ZERO:
-                continue
-            coeff = at(dv) if variant == "reduced" else at(dv) / s
-            acc = acc + geo.wedge(p[tn[a]], p[tn[b]]).scale(coeff)
-        for (a,), v in J.e.comps.items():
-            dv = ex.differentiate(v, kname)
-            if dv != ex.ZERO:
-                acc = acc + geo.wedge(z, p[tn[a]]).scale(at(dv))
-        if variant == "reduced":
-            for (a,), v in J.e.comps.items():
-                acc = acc - geo.wedge(p[tn[a]], p[kname]).scale(at(v))
-        label = "p" if variant == "reduced" else "pi"
-        res[f"{label}:{kname}"] = acc
-
-    acc = geo.de_rham(z)
-    for (a, b), v in J.lam.comps.items():
-        coeff = at(v) if variant == "reduced" else at(v) / (s * s)
-        acc = acc - geo.wedge(p[tn[a]], p[tn[b]]).scale(coeff)
-    res["z"] = acc
-    return res
-
-
-def _discrete_residuals(J: JacobiPair, D: DiscreteFieldConfiguration,
-                        variant: str) -> dict:
-    g = D.grid
-    u, t = g.u_nodes, g.t_nodes
-    tn = J.chart.names
-    shape = (g.nu, g.nt)
-    if D.s is None:
-        raise ValueError(f"the {variant} residuals need a scale field")
-    s = D.s
-
-    def at_x(e):
-        v = ex.evaluate(e, D.x)
-        return np.broadcast_to(np.asarray(v, float), shape)
-
-    def ddu(a):
-        return np.gradient(a, u, axis=0, edge_order=2)
-
-    def ddt(a):
-        return np.gradient(a, t, axis=1, edge_order=2)
-
-    pu = {n: D.pi_u.get(n, np.zeros(shape)) for n in tn}
-    pt = {n: D.pi_t.get(n, np.zeros(shape)) for n in tn}
-    zu, zt = D.z_u, D.z_t
-    # signed Lam^{ab} value arrays, both orders
-    S = {n: {} for n in tn}
-    for (a, b), v in J.lam.comps.items():
-        arr = at_x(v)
-        S[tn[a]][tn[b]] = arr
-        S[tn[b]][tn[a]] = -arr
-    ev = {tn[a]: at_x(v) for (a,), v in J.e.comps.items()}
-    res = {}
-
-    for n in tn:
-        ru, rt = ddu(D.x[n]), ddt(D.x[n])
-        for m, arr in S[n].items():
-            fac = arr if variant == "reduced" else arr / s
-            ru = ru + fac * pu[m]
-            rt = rt + fac * pt[m]
-        if n in ev:
-            ru = ru - ev[n] * zu
-            rt = rt - ev[n] * zt
-        res[f"x:{n}"] = np.stack([ru, rt])
-
-    ru, rt = ddu(s), ddt(s)
-    for n, arr in ev.items():
-        fac = arr * s if variant == "reduced" else arr
-        ru = ru + fac * pu[n]
-        rt = rt + fac * pt[n]
-    res["s"] = np.stack([ru, rt])
-
-    W = {}
-    for (a, b), v in J.lam.comps.items():
-        i, j = tn[a], tn[b]
-        W[(i, j)] = pu[i] * pt[j] - pt[i] * pu[j]
-    for kname in tn:
-        r = ddu(pt[kname]) - ddt(pu[kname])
-        for (a, b), v in J.lam.comps.items():
-            dv = ex.differentiate(v, kname)
-            if dv == ex.ZERO:
-                continue
-            fac = at_x(dv) if variant == "reduced" else at_x(dv) / s
-            r = r + fac * W[(tn[a], tn[b])]
-        for (a,), v in J.e.comps.items():
-            dv = ex.differentiate(v, kname)
-            if dv != ex.ZERO:
-                n = tn[a]
-                r = r + at_x(dv) * (zu * pt[n] - zt * pu[n])
-        if variant == "reduced":
-            for n, arr in ev.items():
-                r = r - arr * (pu[n] * pt[kname] - pt[n] * pu[kname])
-        label = "p" if variant == "reduced" else "pi"
-        res[f"{label}:{kname}"] = r
-
-    r = ddu(zt) - ddt(zu)
-    for (a, b), v in J.lam.comps.items():
-        fac = at_x(v) if variant == "reduced" else at_x(v) / (s * s)
-        r = r - fac * W[(tn[a], tn[b])]
-    res["z"] = r
-    return res
-
-
 def el_residual(structure, F, *, variant: str = "homogeneous",
                 tol: float = ex.DEFAULT_TOL, trials: int = ex.DEFAULT_TRIALS,
                 seed: int = ex.DEFAULT_SEED) -> ELReport:
@@ -540,19 +457,21 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
     if isinstance(F, FieldConfiguration):
         if F.s is not None and _s_min_symbolic(F) < S_FLOOR:
             raise ValueError("scale field drops below 1e-06 on the chart box")
-        res = _symbolic_residuals(J, F, variant)
+        one, two = _stationarity(J, _exact_fields(J, F), variant)
+        res = {k: geo.form(F.chart, 1, {"u": ru, "t": rt})
+               for k, (ru, rt) in one.items()}
+        res.update({k: geo.form(F.chart, 2, {("u", "t"): r})
+                    for k, r in two.items()})
         box = F.chart.sample_box()
-        norms, dev = {}, 0.0
-        for label, w in res.items():
-            m = 0.0
-            for v in w.comps.values():
-                mm, _ = ex.max_abs(v, box, trials=trials, seed=seed)
-                m = max(m, mm)
-            norms[label] = m
-            dev = max(dev, m)
+        norms = {label: max([0.0] + [ex.max_abs(v, box, trials=trials,
+                                                seed=seed)[0]
+                                     for v in w.comps.values()])
+                 for label, w in res.items()}
+        dev = max([0.0] + list(norms.values()))
         return ELReport("symbolic", variant, dev <= tol, dev, norms, res)
     if isinstance(F, DiscreteFieldConfiguration):
-        res = _discrete_residuals(J, F, variant)
+        one, two = _stationarity(J, _sampled_fields(J, F), variant)
+        res = {k: np.stack(r) for k, r in one.items()} | two
         norms = {k: float(np.max(np.abs(v))) for k, v in res.items()}
         dev = max(norms.values()) if norms else 0.0
         return ELReport("discrete", variant, dev <= tol, dev, norms, res)
@@ -606,7 +525,8 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
 
         dx^j/du = (1/s) Lam^{kj} pi_k + E^j z,      ds/du = -E^k pi_k.
 
-    Derivatives by central differences on the path's own nodes.
+    These are the u-components of the homogeneous x and s rows of the
+    stationarity system, on the grid backend over the path's own nodes.
     """
     J = _as_pair(structure)
     tn = J.chart.names
@@ -618,32 +538,10 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
     ss = _on_nodes(path.s, u)
     if np.min(np.abs(ss)) < S_FLOOR:
         raise ValueError("path scale drops below 1e-06")
-    pis = {n: _on_nodes(path.pi.get(n, 0), u) for n in tn}
-    zs = _on_nodes(path.z, u)
-
-    S = {n: {} for n in tn}
-    for (a, b), v in J.lam.comps.items():
-        arr = np.broadcast_to(np.asarray(ex.evaluate(v, xs), float), u.shape)
-        S[tn[a]][tn[b]] = arr
-        S[tn[b]][tn[a]] = -arr
-    ev = {tn[a]: np.broadcast_to(np.asarray(ex.evaluate(v, xs), float), u.shape)
-          for (a,), v in J.e.comps.items()}
-
-    defects = {}
-    for n in tn:
-        rhs = np.zeros_like(u)
-        for k, arr in S[n].items():
-            # Lam^{kn} pi_k = -Lam^{nk} pi_k
-            rhs = rhs - arr * pis[k]
-        rhs = rhs / ss
-        if n in ev:
-            rhs = rhs + ev[n] * zs
-        lhs = np.gradient(xs[n], u, edge_order=2)
-        defects[f"x:{n}"] = float(np.max(np.abs(lhs - rhs)))
-    rhs_s = np.zeros_like(u)
-    for n, arr in ev.items():
-        rhs_s = rhs_s - arr * pis[n]
-    defects["s"] = float(np.max(np.abs(np.gradient(ss, u, edge_order=2) - rhs_s)))
+    pis = {n: (_on_nodes(path.pi.get(n, 0), u),) for n in tn}
+    f = _grid_fields(xs, ss, pis, (_on_nodes(path.z, u),), u)
+    defects = {k: float(np.max(np.abs(r))) for k, (r,)
+               in _transport(J, f, red=False).items()}
     dev = max(defects.values())
     # Two transport rules are in circulation and both are kept on purpose:
     # this check uses the linear rule ds/du = -E^k pi_k, while
@@ -655,6 +553,19 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
             "d(log s)/du = +E^j eta_j, which differs in sign and scale "
             "factor under eta = pi")
     return APathReport(dev <= tol, dev, defects, path.n, note)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule over the nodes x (an odd number of them),
+    panel by panel, so uneven spacing is allowed."""
+    if len(x) % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of nodes")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
+                                + y[1::2] * (hsum * (hsum / (h0 * h1)))
+                                + y[2::2] * (2.0 - ratio)))
 
 
 def apath_holonomy(structure, x: dict, eta: dict, *, n: int = 257) -> float:
@@ -674,7 +585,7 @@ def apath_holonomy(structure, x: dict, eta: dict, *, n: int = 257) -> float:
             continue
         earr = np.broadcast_to(np.asarray(ex.evaluate(v, xs), float), u.shape)
         vals = vals + earr * _on_nodes(eta[nm], u)
-    return float(np.exp(simpson(vals, x=u)))
+    return float(np.exp(_simpson(vals, u)))
 
 
 def scale_ode_rk4(structure, x: dict, eta: dict, *, s0: float = 1.0,
@@ -844,13 +755,32 @@ def verify_ex1_groupoid(G: Ex1Groupoid, *, tol: float = ex.DEFAULT_TOL,
     dev = _exprs_dev(pairs, pbox, trials=trials, seed=seed)
     checks["source_target_of_product"] = {"ok": dev <= tol, "max_dev": dev}
 
-    # associativity on a composable triple (free coordinates s1, t1..t3,
-    # xa, xb, xc, xd): both orders give (s1, t3 t2 t1, xa, xd)
+    # associativity: compose G.mult both ways on a composable triple
+    # g1 = (s1, t1, xa, xb), g2 = (t1 s1, t2, xb, xc),
+    # g3 = (t2 t1 s1, t3, xc, xd)
+    def element(s, t, left, right):
+        return {"s": s, "t": t, **dict(zip(xl, left)), **dict(zip(xr, right))}
+
+    def compose(a, b):
+        """b o a through G.mult: the pair chart takes a's scale, both
+        arrows' t and the three base points."""
+        sub = {"s1": a["s"], "t1": a["t"], "t2": b["t"]}
+        for i in range(m):
+            sub.update({xl[i]: a[xl[i]], f"xm{i}": a[xr[i]],
+                        xr[i]: b[xr[i]]})
+        return {n: ex.substitute(G.mult(n), sub) for n in G.chart.names}
+
     s1, t1, t2, t3 = var("s1"), var("t1"), var("t2"), var("t3")
-    tbox = {"s1": SCALE_BOX, "t1": SCALE_BOX, "t2": SCALE_BOX, "t3": SCALE_BOX}
-    left_t = t3 * (t2 * t1)        # g3 o (g2 o g1)
-    right_t = (t3 * t2) * t1       # (g3 o g2) o g1
-    dev = _exprs_dev([(left_t, right_t)], tbox, trials=trials, seed=seed)
+    pts = {c: [f"x{c}{i}" for i in range(m)] for c in "abcd"}
+    xa, xb, xc, xd = ([var(n) for n in pts[c]] for c in "abcd")
+    g1 = element(s1, t1, xa, xb)
+    g2 = element(t1 * s1, t2, xb, xc)
+    g3 = element(t2 * t1 * s1, t3, xc, xd)
+    left, right = compose(compose(g1, g2), g3), compose(g1, compose(g2, g3))
+    tbox = {"s1": SCALE_BOX, "t1": SCALE_BOX, "t2": SCALE_BOX, "t3": SCALE_BOX,
+            **{n: X_BOX for c in "abcd" for n in pts[c]}}
+    dev = _exprs_dev([(left[n], right[n]) for n in G.chart.names], tbox,
+                     trials=trials, seed=seed)
     checks["associativity"] = {"ok": dev <= tol, "max_dev": dev}
 
     # the scale action h_nu(s,t,xl,xr) = (nu s, t, xl, xr)

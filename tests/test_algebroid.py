@@ -309,6 +309,16 @@ def test_sign_flips_fail_and_stay_localized():
         assert dev > 1e-3
 
 
+def test_worst_reports_the_callers_samples():
+    m = _flip(sg.family_one_morphism(), "fiber", "dx")
+    for trials, seed in ((64, KW["seed"]), (7, 12345), (20, 99)):
+        rep = alg.morphism_check(m, tol=1e-9, trials=trials, seed=seed)
+        (kind, label), dev = rep.worst()
+        assert dev == rep.max_dev
+        resid = (rep.base_residuals if kind == "base" else rep.gen_residuals)
+        assert resid[label].max_abs(trials=trials, seed=seed) == dev
+
+
 # ------------------------------------------------- scaled dual structure
 
 

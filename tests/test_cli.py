@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,3 +232,12 @@ def test_text_report_carries_settings_line():
     assert code == 0
     tail = out.strip().splitlines()[-1]
     assert "seed=11" in tail and "trials=32" in tail and " s)" in tail
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, jacobisigma.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -153,6 +153,21 @@ def test_halton_deterministic():
     assert p1 != p3
 
 
+def test_halton_points_keep_their_values_and_have_no_dimension_cap():
+    box = {f"v{i:02d}": (-1.0, 1.0) for i in range(18)}
+    for trial, want in ((0, (0.71875, -0.9262782401902497, 0.9344262295081969)),
+                        (5, (-0.984375, -0.5814506539833532,
+                             -0.9011018543402312))):
+        p = ex.halton_point(box, trial, 42)
+        assert (p["v00"], p["v09"], p["v17"]) == want
+    # a 30-dimensional box samples inside the box, one prime per axis
+    wide = {f"w{i:02d}": (0.0, 1.0) for i in range(30)}
+    pts = [ex.halton_point(wide, i, 7) for i in range(16)]
+    assert all(0.0 <= v < 1.0 for p in pts for v in p.values())
+    assert len({p["w29"] for p in pts}) == 16
+    assert ex._primes(30)[:30][-3:] == [107, 109, 113]
+
+
 def test_is_zero_accepts_identity_and_rejects_nonzero():
     e = ex.parse("sin(x)^2 + cos(x)^2 - 1", allowed=VARS)
     assert ex.is_zero(e, BOX)

@@ -269,6 +269,36 @@ def test_discrete_residuals_converge():
         assert math.log2(a / b) >= 1.8
 
 
+def test_grid_and_exact_backends_agree_on_every_slot():
+    """The finite-difference residual of a sampled configuration converges
+    at second order to the exact residual form evaluated at the nodes, in
+    every slot; slots whose stencils are exact agree to round-off."""
+    J = sg.contact_pair(1)
+    for F in (generic_config(), second_config()):
+        for variant in ("homogeneous", "reduced"):
+            sym = sg.el_residual(J, F, variant=variant, **KW).residuals
+            errs = {label: [] for label in sym}
+            for nn in (33, 65, 129):
+                g = sg.SurfaceGrid(nn, nn)
+                D = sg.sample_config(F, g)
+                res = sg.el_residual(J, D, variant=variant).residuals
+                assert res.keys() == sym.keys()
+                for label, w in sym.items():
+                    keys = [("u",), ("t",)] if w.degree == 1 else [("u", "t")]
+                    want = np.stack([sg._grid_eval(w.component(*k), g)
+                                     for k in keys])
+                    got = res[label].reshape(want.shape)
+                    errs[label].append(float(np.max(np.abs(got - want))))
+            converging = 0
+            for label, e in errs.items():
+                if max(e) <= 1e-12:
+                    continue
+                converging += 1
+                for a, b in zip(e, e[1:]):
+                    assert math.log2(a / b) >= 1.8, (variant, label, e)
+            assert converging >= 6, errs
+
+
 def test_node_perturbation_matches_residual_density():
     """The derivative of the discrete action with respect to a single
     interior node value equals the discrete residual at that node times
@@ -371,6 +401,24 @@ def test_holonomy_exponent():
         sg.apath_holonomy(J, {"x0": ex.ZERO}, {})
 
 
+def test_simpson_matches_scipy():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(5)
+    for n in (3, 33, 257, 1025):
+        for x in (np.linspace(0.0, 1.0, n), np.sort(rng.uniform(0, 2, n))):
+            y = rng.normal(size=n)
+            want = scipy_integrate.simpson(y, x=x)
+            assert abs(sg._simpson(y, x) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_holonomy_rejects_an_even_node_count():
+    J = sg.contact_pair(1)
+    x = {"x0": ex.num("1/10"), "x1": ex.ZERO, "x2": ex.num("1/5")}
+    assert abs(sg.apath_holonomy(J, x, {"x0": ex.ONE}, n=257) - math.e) <= 1e-12
+    with pytest.raises(ValueError, match="odd"):
+        sg.apath_holonomy(J, x, {"x0": ex.ONE}, n=256)
+
+
 def test_holonomy_reparametrization_invariance():
     J = sg.moebius_pair()
     x = {"x": ex.add(ex.num("3/10"), ex.mul(ex.num("2/5"), U))}
@@ -424,6 +472,13 @@ def test_groupoid_checks_pass():
         assert rep.checks["contact_top_form"]["min_abs"] > 1e-6
 
 
+def test_groupoid_k2_passes_all_checks():
+    # the pair chart plus the scale parameter spans 19 sampling dimensions
+    rep = sg.verify_ex1_groupoid(sg.ex1_groupoid(2), **KW)
+    assert rep.ok, rep.summary()
+    assert all(entry["ok"] for entry in rep.checks.values())
+
+
 def test_groupoid_tampering_is_caught():
     G = sg.ex1_groupoid(0)
     flat_beta = SmoothMap(G.chart, G.l_chart,
@@ -436,6 +491,13 @@ def test_groupoid_tampering_is_caught():
         dataclasses.replace(G, omega=G.omega.scale(ex.var("s"))), **KW)
     assert not rep2.ok
     assert not rep2.checks["omega_degree_1"]["ok"]
+
+    bad_mult = SmoothMap(G.pair_chart, G.chart,
+                         {**G.mult.comps,
+                          "t": ex.mul(ex.var("t2"), ex.pow_(ex.var("t1"), 2))})
+    rep4 = sg.verify_ex1_groupoid(dataclasses.replace(G, mult=bad_mult), **KW)
+    assert not rep4.ok
+    assert not rep4.checks["associativity"]["ok"]
 
     closed_theta = geo.form(G.c_chart, 1, {("xl0",): ex.ONE})
     rep3 = sg.verify_ex1_groupoid(
