@@ -731,7 +731,8 @@ def compute_D0phi(phi0: SmoothMap, s_name: str = "s", *,
     bundle: directional part d of each base component, vertical part
     d(scale)/scale.  Requires the scale component to stay away from zero on
     the sample box."""
-    assert s_name in phi0.dst.names, f"target chart has no '{s_name}'"
+    if s_name not in phi0.dst.names:
+        raise ValueError(f"target chart has no '{s_name}'")
     s_comp = phi0.comps[s_name]
     box = phi0.src.sample_box()
     vals = [v for _, v in ex.sample_values(s_comp, box, trials=trials, seed=seed)]

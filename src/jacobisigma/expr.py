@@ -12,13 +12,22 @@ changes nothing.
 
 Numeric zero-testing (is_zero) samples a Halton sequence over a named box;
 the sample points are a pure function of (seed, trial index), so every run
-with the same arguments sees the same points.
+with the same arguments sees the same points.  Sampling is one array pass:
+the points of a (box, trials, seed) are built once and kept in a bounded
+cache as one column per coordinate, and an expression is evaluated on all
+columns at once.  The values equal the per-point scalar evaluation bit for
+bit.  Sums, products, quotients and sin/cos/exp/log round the same way on
+arrays as on scalars; numpy's SIMD power does not match libm pow in the last
+bit, so the sampling pass raises each element with Python's ** (libm), the
+power a scalar evaluation uses.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -404,6 +413,19 @@ def evaluate(e: Expression, point: Mapping[str, object]):
     EvaluationError on near-zero denominators, non-positive log arguments,
     exp overflow, or a missing variable.
     """
+    return _evaluate(e, point, operator.pow)
+
+
+def _libm_pow(b, k: int):
+    """b ** k with Python floats, one element at a time: libm pow, the power
+    a scalar evaluation uses.  numpy's SIMD power can differ in the last bit."""
+    if isinstance(b, np.ndarray):
+        return np.array([v ** k for v in b.tolist()], dtype=float)
+    return b ** k
+
+
+def _evaluate(e: Expression, point: Mapping[str, object], power):
+    """The evaluation core; `power(base, k)` raises a value to an integer."""
 
     def go(t):
         if isinstance(t, Num):
@@ -429,7 +451,7 @@ def evaluate(e: Expression, point: Mapping[str, object]):
             b = go(t.base)
             if t.exponent < 0 and np.any(np.abs(b) < _DIV_EPS):
                 raise EvaluationError("negative power of a near-zero base", point)
-            return b ** t.exponent
+            return power(b, t.exponent)
         if isinstance(t, Div):
             a, b = go(t.num), go(t.den)
             if np.any(np.abs(b) < _DIV_EPS):
@@ -499,15 +521,63 @@ def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
     return pt
 
 
+# Halton sample sets, kept per (box, trials, seed): a bounded LRU, since
+# every fresh seed makes a new entry.  A set of more than _CACHE_COORDS
+# coordinates is built for its call and not kept.
+_CACHE_ENTRIES = 64
+_CACHE_COORDS = 64 * 64
+_HALTON_CACHE: OrderedDict = OrderedDict()
+
+
+def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
+    """(points, columns): the halton_point dicts for trials 0..trials-1 and
+    one float array per coordinate.  Shared with the cache; do not mutate."""
+    key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed)
+    hit = _HALTON_CACHE.get(key)
+    if hit is not None:
+        _HALTON_CACHE.move_to_end(key)
+        return hit
+    points = [halton_point(box, i, seed) for i in range(trials)]
+    cols = {n: np.array([p[n] for p in points], dtype=float) for n in box}
+    for c in cols.values():
+        c.flags.writeable = False
+    hit = (points, cols)
+    if len(points) * len(box) <= _CACHE_COORDS:
+        _HALTON_CACHE[key] = hit
+        if len(_HALTON_CACHE) > _CACHE_ENTRIES:
+            _HALTON_CACHE.popitem(last=False)
+    return hit
+
+
+def halton_points(box: Mapping[str, tuple], trials: int, seed: int) -> list:
+    """[halton_point(box, i, seed) for i in range(trials)], as fresh dicts."""
+    return [dict(p) for p in _halton_set(box, trials, seed)[0]]
+
+
 def sample_values(e: Expression, box: Mapping[str, tuple], *,
                   trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
+    """Yield (point, value) at the Halton points of the box, in trial order.
+
+    One array pass evaluates e on all points; its values equal evaluate(e,
+    point) bit for bit.  If a guard trips anywhere, the points are walked
+    one at a time instead, so the EvaluationError names the first bad point
+    and the values before it are still yielded.
+    """
     fv = free_vars(e)
     missing = fv - set(box)
     if missing:
         raise ValueError(f"box is missing variables: {sorted(missing)}")
-    for i in range(trials):
-        pt = halton_point(box, i, seed)
-        yield pt, evaluate(e, pt)
+    points, cols = _halton_set(box, trials, seed)
+    try:
+        vals = np.broadcast_to(_evaluate(e, cols, _libm_pow),
+                               (len(points),)).tolist()
+    except ArithmeticError:   # a guard, or OverflowError from a libm power
+        for p in points:
+            pt = dict(p)
+            yield pt, evaluate(e, pt)
+        return
+    for p, v in zip(points, vals):
+        yield dict(p), v
 
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,

@@ -407,7 +407,7 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
             if o1.dst != o2.src:
                 continue
             # sample src points whose image lands in o2's box
-            pts = [ex.halton_point(o1.src_box, k, seed) for k in range(trials)]
+            pts = ex.halton_points(o1.src_box, trials, seed)
             checked, ok = 0, True
             for pt in pts:
                 img = {n: ex.evaluate(o1.fwd.comps[n], pt)

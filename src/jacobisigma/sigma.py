@@ -411,7 +411,8 @@ def D_s_min(D: DiscreteFieldConfiguration) -> float:
     return math.inf if D.s is None else float(np.min(np.abs(D.s)))
 
 
-def _s_min_symbolic(F: FieldConfiguration, *, trials: int = 64,
+def _s_min_symbolic(F: FieldConfiguration, *,
+                    trials: int = ex.DEFAULT_TRIALS,
                     seed: int = ex.DEFAULT_SEED) -> float:
     best = math.inf
     for _, v in ex.sample_values(F.s, F.chart.sample_box(),
@@ -455,7 +456,8 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
     J = _as_pair(structure)
     _check_boundary(F)
     if isinstance(F, FieldConfiguration):
-        if F.s is not None and _s_min_symbolic(F) < S_FLOOR:
+        if (F.s is not None
+                and _s_min_symbolic(F, trials=trials, seed=seed) < S_FLOOR):
             raise ValueError("scale field drops below 1e-06 on the chart box")
         one, two = _stationarity(J, _exact_fields(J, F), variant)
         res = {k: geo.form(F.chart, 1, {"u": ru, "t": rt})
@@ -808,7 +810,8 @@ def verify_ex1_groupoid(G: Ex1Groupoid, *, tol: float = ex.DEFAULT_TOL,
                          trials=trials, seed=seed))
     checks["scale_action_morphism"] = {"ok": dev <= tol, "max_dev": dev}
 
-    deg_ok = geo.has_scaling_degree(G.omega, 1, trials=trials, seed=seed)
+    deg_ok = geo.has_scaling_degree(G.omega, 1, tol=tol, trials=trials,
+                                    seed=seed)
     checks["omega_degree_1"] = {"ok": deg_ok, "degree": 1}
 
     dth = geo.de_rham(G.theta_c)

@@ -438,3 +438,10 @@ def test_d0phi_needs_nonvanishing_scale():
                               "s": ex.sub(ex.var("u"), ex.num("1/2"))})
     with pytest.raises(ValueError):
         alg.compute_D0phi(bad, "s")
+
+
+def test_d0phi_names_a_missing_scale_coordinate():
+    ch = sg.source_chart()
+    phi0 = SmoothMap(ch, Chart(("x0",)), {"x0": ex.var("u")})
+    with pytest.raises(ValueError, match="no 's'"):
+        alg.compute_D0phi(phi0, "s")

@@ -179,3 +179,133 @@ def test_max_abs_reports_witness():
                          trials=64, seed=ex.DEFAULT_SEED)
     assert 0.5 < val <= 1.0
     assert abs(abs(pt["x"]) - val) < 1e-12
+
+
+# ----- the batched sampler against the per-point reference -----
+
+def _or_first(f):
+    """f(*args), or the first argument where the constructor refuses a
+    constant zero denominator."""
+    def build(args):
+        try:
+            return f(*args)
+        except ZeroDivisionError:
+            return args[0]
+    return build
+
+
+def wide_nodes(child):
+    return st.one_of(
+        st.tuples(child, child).map(lambda ab: ex.add(*ab)),
+        st.tuples(child, child).map(lambda ab: ex.sub(*ab)),
+        st.tuples(child, child).map(lambda ab: ex.mul(*ab)),
+        st.tuples(child, child).map(_or_first(ex.div)),
+        st.tuples(child, st.integers(-3, 5)).map(_or_first(ex.pow_)),
+        st.tuples(st.sampled_from((ex.sin, ex.cos, ex.exp, ex.log)),
+                  child).map(lambda fa: fa[0](fa[1])),
+    )
+
+
+# guards trip on some of these trees (log of a negative, tiny denominators)
+wide_exprs = st.recursive(st.one_of(leaves(), st.just(ex.PI)), wide_nodes,
+                          max_leaves=10)
+
+
+def _reference_values(e, box, trials, seed):
+    for i in range(trials):
+        pt = ex.halton_point(box, i, seed)
+        yield pt, ex.evaluate(e, pt)
+
+
+def _reference_max_abs(e, box, trials, seed):
+    if not ex.free_vars(e):
+        return abs(ex.evaluate(e, {})), {}
+    best, best_pt = -1.0, None
+    for pt, v in _reference_values(e, box, trials, seed):
+        if abs(v) > best:
+            best, best_pt = abs(v), pt
+    return best, best_pt
+
+
+def _reference_is_zero(e, box, trials, seed, tol=1e-9):
+    if not ex.free_vars(e):
+        return abs(ex.evaluate(e, {})) <= tol
+    return all(abs(v) <= tol for _, v in _reference_values(e, box, trials, seed))
+
+
+def _exactly(v):
+    """A value by type and bits, so 0.0 and -0.0 differ."""
+    if isinstance(v, tuple):
+        return tuple(_exactly(u) for u in v)
+    return (type(v), v.hex()) if isinstance(v, float) else v
+
+
+def _trace(items):
+    """Each item, exactly, then the error that stopped the iteration as
+    (type, message, point)."""
+    out = []
+    try:
+        for item in items:
+            out.append(_exactly(item))
+    except ArithmeticError as err:
+        out.append((type(err), str(err), getattr(err, "point", None)))
+    return out
+
+
+def _once(run):
+    yield run()
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_exprs, st.sampled_from((1, 7, 64)), st.integers(0, 2 ** 31))
+def test_batched_sampling_matches_pointwise_evaluation(e, trials, seed):
+    args = (BOX, trials, seed)
+    kw = dict(trials=trials, seed=seed)
+    assert (_trace(ex.sample_values(e, BOX, **kw))
+            == _trace(_reference_values(e, *args)))
+    assert (_trace(_once(lambda: ex.max_abs(e, BOX, **kw)))
+            == _trace(_once(lambda: _reference_max_abs(e, *args))))
+    for f in (e, ex.sub(e, e)):
+        assert (_trace(_once(lambda: ex.is_zero(f, BOX, tol=1e-9, **kw)))
+                == _trace(_once(lambda: _reference_is_zero(f, *args))))
+
+
+def _pole_at(box, trial, seed):
+    """1/(x - c) with c the x-coordinate of the given sample point."""
+    c = ex.halton_point(box, trial, seed)["x"]
+    return ex.div(ex.ONE, ex.sub(ex.var("x"), ex.num(c)))
+
+
+def test_sampling_error_names_the_first_bad_point():
+    box, seed = {"x": (-1.0, 1.0), "y": (0.0, 2.0)}, 97
+    e = _pole_at(box, 5, seed)
+    seen = []
+    with pytest.raises(ex.EvaluationError) as err:
+        for pt, _ in ex.sample_values(e, box, seed=seed):
+            seen.append(pt)
+    assert err.value.point == ex.halton_point(box, 5, seed)
+    assert seen == [ex.halton_point(box, i, seed) for i in range(5)]
+    with pytest.raises(ex.EvaluationError) as err:
+        ex.max_abs(e, box, seed=seed)
+    assert err.value.point == ex.halton_point(box, 5, seed)
+
+
+def test_is_zero_decides_before_a_later_bad_point():
+    box, seed = {"x": (-1.0, 1.0)}, 5
+    assert ex.is_zero(_pole_at(box, 9, seed), box, seed=seed) is False
+
+
+def test_halton_cache_is_bounded_and_hands_out_copies():
+    box = {"x": (0.0, 1.0), "y": (-2.0, 2.0)}
+    for seed in range(300):
+        ex.is_zero(ex.var("x"), box, seed=seed)
+        assert len(ex._HALTON_CACHE) <= ex._CACHE_ENTRIES
+    big = ex._CACHE_COORDS // len(box) + 1
+    ex.max_abs(ex.var("y"), box, trials=big)
+    assert all(key[1] != big for key in ex._HALTON_CACHE)
+    pts = ex.halton_points(box, 4, 3)
+    pts[0]["x"] = 99.0
+    _, witness = ex.max_abs(ex.var("x"), box, trials=4, seed=3)
+    witness["y"] = 99.0
+    assert ex.halton_points(box, 4, 3) == [ex.halton_point(box, i, 3)
+                                           for i in range(4)]

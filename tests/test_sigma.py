@@ -255,6 +255,17 @@ def test_el_residual_guards():
         sg.el_residual(J, no_s)
 
 
+def test_el_residual_scale_guard_samples_the_callers_points():
+    # s vanishes at the first sample point of seed 12345 only
+    J = sg.contact_pair(1)
+    F = generic_config()
+    c = ex.halton_point(F.chart.sample_box(), 0, 12345)["u"]
+    F = dataclasses.replace(F, s=ex.sub(U, ex.num(c)))
+    sg.el_residual(J, F, **KW)
+    with pytest.raises(ValueError, match="scale field"):
+        sg.el_residual(J, F, trials=4, seed=12345)
+
+
 def test_discrete_residuals_converge():
     J = sg.contact_pair(1)
     F = sg.contact_solution(1)
@@ -504,6 +515,16 @@ def test_groupoid_tampering_is_caught():
         dataclasses.replace(G, theta_c=closed_theta), **KW)
     assert not rep3.ok
     assert not rep3.checks["contact_top_form"]["ok"]
+
+
+def test_groupoid_omega_degree_uses_the_callers_tol():
+    G = sg.ex1_groupoid(0)
+    near = dataclasses.replace(
+        G, omega=G.omega.scale(ex.add(ex.ONE, ex.mul(ex.num("1/1000000"),
+                                                      ex.var("s")))))
+    assert not sg.verify_ex1_groupoid(near, **KW).checks["omega_degree_1"]["ok"]
+    loose = dict(KW, tol=1e-3)
+    assert sg.verify_ex1_groupoid(near, **loose).checks["omega_degree_1"]["ok"]
 
 
 # ------------------------------------------------- solutions as morphisms
