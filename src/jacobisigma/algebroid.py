@@ -110,14 +110,6 @@ class AlgebroidStructure:
         row = self.anchor.get(g, {})
         return geo.mvf(self.base, 1, {(a,): v for a, v in row.items()})
 
-    def anchor_matrix(self):
-        """rho^a_i as {base coord: {generator: Expression}} with zeros absent."""
-        out = {}
-        for g, row in self.anchor.items():
-            for a, v in row.items():
-                out.setdefault(a, {})[g] = v
-        return out
-
     def bracket_table(self):
         """Displayable bracket rows: for each stored pair (a, b) report
         ("[b, a]", {k: -c[(a,b)][k]}), dropping empty rows."""
@@ -444,9 +436,6 @@ class VBMorphism:
     def dst_alg(self) -> AlgebroidStructure:
         return _alg_of(self.dst)
 
-    def fiber_form(self, g: str) -> AlgebroidForm:
-        return self.fiber[g]
-
 
 def identity_morphism(A: AlgebroidStructure) -> VBMorphism:
     fiber = {g: AlgebroidForm(A, 1, {(i,): ex.ONE})
@@ -671,41 +660,25 @@ def jacobi_morphism_check(psi: LiftedMorphism, *, tol=ex.DEFAULT_TOL,
     base_c = psi.base_components()
     fiber_c = psi.fiber_components()
     dalg = phi.dst_alg()
-    x_names = [n for n in dalg.base.names if n != hp.s_name]
     gen_of = {n: (dalg.generators[dalg.base.index(n)]) for n in dalg.base.names}
-    sub_x = {n: base_c[n] for n in x_names}
-
-    def fform(g):
-        F = fiber_c[g]
-        return geo.form(ext, 1, {(k[0],): v for k, v in F.comps.items()})
-
-    residuals = {}
+    sub_x = {n: base_c[n] for n in J.chart.names}
     s_fam = base_c[hp.s_name]
-    for n in x_names:
-        lhs = geo.form(ext, 1, {(src_chart.index(u),): ex.differentiate(base_c[n], u)
+
+    def row(g, terms, p_den=ex.ONE):
+        """d g - sum coeff * slot, each p-slot coefficient over p_den."""
+        lhs = geo.form(ext, 1, {(src_chart.index(u),): ex.differentiate(g, u)
                                 for u in src_chart.names})
         rhs = geo.form(ext, 1, {})
-        for m in x_names:
-            if m == n:
-                continue
-            lam = J.lam.component(J.chart.index(m), J.chart.index(n))
-            if ex.is_exact_zero(lam):
-                continue
-            coeff = ex.div(ex.substitute(lam, sub_x), s_fam)
-            rhs = rhs + fform(gen_of[m]).scale(coeff)
-        e_n = J.e.component(J.chart.index(n))
-        if not ex.is_exact_zero(e_n):
-            rhs = rhs + fform(gen_of[hp.s_name]).scale(ex.substitute(e_n, sub_x))
-        residuals[n] = lhs - rhs
-    lhs_s = geo.form(ext, 1, {(src_chart.index(u),): ex.differentiate(s_fam, u)
-                              for u in src_chart.names})
-    rhs_s = geo.form(ext, 1, {})
-    for m in x_names:
-        e_m = J.e.component(J.chart.index(m))
-        if ex.is_exact_zero(e_m):
-            continue
-        rhs_s = rhs_s + fform(gen_of[m]).scale(ex.neg(ex.substitute(e_m, sub_x)))
-    residuals[hp.s_name] = lhs_s - rhs_s
+        for c, m in terms:
+            c = ex.substitute(c, sub_x)
+            F = fiber_c[gen_of[hp.s_name if m is None else m]]
+            rhs = rhs + geo.form(ext, 1, F.comps).scale(
+                c if m is None else ex.div(c, p_den))
+        return lhs - rhs
+
+    v_terms, t_terms = jacobi.sharp_terms(J)
+    residuals = {n: row(base_c[n], v_terms[n], s_fam) for n in J.chart.names}
+    residuals[hp.s_name] = row(s_fam, t_terms)
 
     devs = [geo.max_abs_tensor(r, trials=trials, seed=seed)[0]
             for r in residuals.values()]
@@ -775,30 +748,17 @@ def jsharp_morphism(J: jacobi.JacobiPair, x_map: SmoothMap, p_forms: Mapping,
 
     p = {n: as_aform(w) for n, w in p_forms.items()}
     z = as_aform(z_form)
-    names = x_map.dst.names
-    fiber = {}
-    for n in names:
+
+    def total(terms):
         acc = AlgebroidForm(src_alg, 1, {})
-        for m in names:
-            if m == n:
-                continue
-            lam = J.lam.component(J.chart.index(m), J.chart.index(n))
-            if ex.is_exact_zero(lam):
-                continue
-            if m in p:
-                acc = acc + p[m].scale(x_map.apply(lam))
-        e_n = J.e.component(J.chart.index(n))
-        if not ex.is_exact_zero(e_n):
-            acc = acc + z.scale(x_map.apply(e_n))
-        fiber[gen_prefix + n] = acc
-    vert = AlgebroidForm(src_alg, 1, {})
-    for m in names:
-        e_m = J.e.component(J.chart.index(m))
-        if ex.is_exact_zero(e_m):
-            continue
-        if m in p:
-            vert = vert + p[m].scale(ex.neg(x_map.apply(e_m)))
-    fiber[t_name] = vert
+        for c, m in terms:
+            w = z if m is None else p.get(m)
+            if w is not None:
+                acc = acc + w.scale(x_map.apply(c))
+        return acc
+    v_terms, t_terms = jacobi.sharp_terms(J)
+    fiber = {gen_prefix + n: total(terms) for n, terms in v_terms.items()}
+    fiber[t_name] = total(t_terms)
     return VBMorphism.build(src_alg, dalg, x_map, fiber)
 
 

@@ -98,7 +98,10 @@ def _parse_chart(cp, path, *, chart_sec="chart", box_sec="box",
                 weights[n] = int(v)
             except ValueError as err:
                 raise InputError(f"{path}: [{weights_sec}] {n}: {err}") from err
-    return Chart(tuple(names), box, weights)
+    try:
+        return Chart(tuple(names), box, weights)
+    except ValueError as err:
+        raise InputError(f"{path}: [{chart_sec}] {err}") from err
 
 
 def _parse_tensor_comps(cp, sec, chart, degree, path) -> dict:
@@ -217,7 +220,11 @@ def parse_structure(path):
                 if g not in order:
                     raise InputError(f"{path}: [gen_weights] unknown "
                                      f"generator '{g}'")
-                gw[g] = int(v)
+                try:
+                    gw[g] = int(v)
+                except ValueError as err:
+                    raise InputError(f"{path}: [gen_weights] {g}: {err}") \
+                        from err
             for g in gens:
                 gw.setdefault(g, 0)
             return kind, alg.RxAlgebroid(A, gw)
@@ -283,7 +290,10 @@ def parse_field(path) -> dict:
     if variant not in sg.ACTION_VARIANTS:
         raise InputError(f"{path}: variant must be one of "
                          f"{sg.ACTION_VARIANTS}")
-    t_extent = float(cp.get("field", "t_extent", fallback="1.0"))
+    try:
+        t_extent = float(cp.get("field", "t_extent", fallback="1.0"))
+    except ValueError as err:
+        raise InputError(f"{path}: [field] t_extent: {err}") from err
     grid = cp.get("field", "grid", fallback="").strip() or None
     allowed = {"u", "t"}
     maps = {n: _parse_expr(v, allowed, f"{path}: [maps] {n}")

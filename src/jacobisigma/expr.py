@@ -304,19 +304,7 @@ def log(e: ExprLike) -> Expression:
 
 def normalize(e: Expression) -> Expression:
     """Rebuild bottom-up through the smart constructors (idempotent)."""
-    if isinstance(e, (Num, Pi, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*[normalize(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[normalize(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.exponent)
-    if isinstance(e, Div):
-        return div(normalize(e.num), normalize(e.den))
-    if isinstance(e, Fn):
-        return _fn(e.fn, normalize(e.arg))
-    raise TypeError(type(e))
+    return substitute(e, {})
 
 
 def is_exact_zero(e) -> bool:

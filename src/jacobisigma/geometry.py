@@ -33,6 +33,11 @@ from . import expr as ex
 from .expr import Expression
 
 
+class ChartError(ValueError, AssertionError):
+    """An invalid chart.  Also an AssertionError, the type callers caught
+    when charts were validated by assert."""
+
+
 @dataclass
 class Chart:
     names: tuple
@@ -41,11 +46,12 @@ class Chart:
 
     def __post_init__(self):
         self.names = tuple(self.names)
-        assert len(set(self.names)) == len(self.names), "duplicate coordinate"
-        for n in self.box:
-            assert n in self.names, f"box for unknown coordinate '{n}'"
-        for n in self.weights:
-            assert n in self.names, f"weight for unknown coordinate '{n}'"
+        if len(set(self.names)) != len(self.names):
+            raise ChartError(f"duplicate coordinate in {self.names}")
+        for what, table in (("box", self.box), ("weight", self.weights)):
+            for n in table:
+                if n not in self.names:
+                    raise ChartError(f"{what} for unknown coordinate '{n}'")
 
     @property
     def dim(self):
@@ -73,12 +79,6 @@ class Chart:
         if weights:
             nw.update(weights)
         return Chart(self.names + tuple(names), nb, nw)
-
-    def with_weights(self, weights: Mapping[str, int]) -> "Chart":
-        return Chart(self.names, dict(self.box), dict(weights))
-
-    def vars(self):
-        return {n: ex.var(n) for n in self.names}
 
 
 def tangent_chart(chart: Chart, suffix: str = "_dot", dot_box=(-1.0, 1.0)) -> Chart:
@@ -166,18 +166,6 @@ class _Tensor:
     def scale(self, c):
         c = ex.coerce(c)
         return self._new({k: ex.mul(c, v) for k, v in self.comps.items()})
-
-    def map_coeffs(self, fn):
-        return self._new({k: fn(v) for k, v in self.comps.items()})
-
-    def is_structurally_zero(self) -> bool:
-        return not self.comps
-
-    def free_vars(self):
-        out = set()
-        for v in self.comps.values():
-            out |= ex.free_vars(v)
-        return out
 
     def key_names(self, key):
         return tuple(self.chart.names[i] for i in key)

@@ -20,6 +20,10 @@ extended by a positive fibre coordinate s (weight 1):
     Pi[i,j] = Lam[i,j]/s,   Pi[i, s] = -E[i],
 
 under which f |-> s*f intertwines the two brackets.
+
+sharp_terms is the one statement of the sharp map J#(p, z) = (Lam(p, .) +
+z E, -E(p)): v^n = Lam^{mn} p_m + E^n z and t = -E^m p_m.  Every caller
+(j_sharp, the algebroid morphisms, the sigma model's x/s rows) sums its terms.
 """
 
 from __future__ import annotations
@@ -233,24 +237,35 @@ class DerPoint:
         self.t = ex.coerce(self.t)
 
 
+def sharp_terms(J: JacobiPair):
+    """J# as coefficient lists ({n: [(coeff, m), ...]}, [(coeff, m), ...]):
+    v^n and t are sums of coeff * p_m, with z in place of p_m for m = None.
+    Exact zeros are left out; v terms come in chart order with the z term
+    last, t terms in the storage order of E."""
+    names = J.chart.names
+    v = {}
+    for n in names:
+        terms = [(J.lam.component(m, n), m) for m in names if m != n]
+        terms.append((J.e.component(n), None))
+        v[n] = [(c, m) for c, m in terms if not ex.is_exact_zero(c)]
+    t = [(ex.neg(c), names[i]) for (i,), c in J.e.comps.items()]
+    return v, t
+
+
 def j_sharp(J: JacobiPair, pt: JetPoint) -> DerPoint:
     """(x, p, z) |-> (x, Lam(x)(p, .) + z E(x), -E(x)(p))."""
     names = J.chart.names
     assert set(pt.base) == set(names) and set(pt.p) <= set(names)
-    subs = pt.base
-    v = {n: ex.ZERO for n in names}
-    for (a, b), val in J.lam.comps.items():
-        na, nb = names[a], names[b]
-        pa, pb = pt.p.get(na, ex.ZERO), pt.p.get(nb, ex.ZERO)
-        v[nb] = ex.add(v[nb], ex.mul(pa, ex.substitute(val, subs)))
-        v[na] = ex.sub(v[na], ex.mul(pb, ex.substitute(val, subs)))
-    t = ex.ZERO
-    for (i,), val in J.e.comps.items():
-        n = names[i]
-        ei = ex.substitute(val, subs)
-        v[n] = ex.add(v[n], ex.mul(ei, pt.z))
-        t = ex.sub(t, ex.mul(ei, pt.p.get(n, ex.ZERO)))
-    return DerPoint(dict(pt.base), v, t)
+    v_terms, t_terms = sharp_terms(J)
+
+    def total(terms):
+        acc = ex.ZERO
+        for c, m in terms:
+            slot = pt.z if m is None else pt.p.get(m, ex.ZERO)
+            acc = ex.add(acc, ex.mul(ex.substitute(c, pt.base), slot))
+        return acc
+    return DerPoint(dict(pt.base), {n: total(v_terms[n]) for n in names},
+                    total(t_terms))
 
 
 def pairing_L(der: DerPoint, jet: JetPoint) -> Expression:

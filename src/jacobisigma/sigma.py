@@ -33,8 +33,11 @@ stationarity system is
     dpi_k + (1/2s) Lam^{ij}_{,k} pi_i ^ pi_j + E^j_{,k} z ^ pi_j = 0
     dz - (1/2s^2) Lam^{ij} pi_i ^ pi_j           = 0
 
-and the reduced system is obtained by substituting pi = s p and
-eliminating the ds terms row by row (the zero sets agree where s != 0).
+The first two rows are dX - v = 0 and ds - t = 0 for (v, t) = J#(pi/s, z),
+the sharp map of jacobi.sharp_terms; the reduced ones are dX - v = 0 and
+ds - s t = 0 for (v, t) = J#(p, z).  The reduced system is obtained by
+substituting pi = s p and eliminating the ds terms row by row (the zero
+sets agree where s != 0).
 """
 
 from __future__ import annotations
@@ -91,10 +94,6 @@ class SurfaceGrid:
 
     def mesh(self):
         return np.meshgrid(self.u_nodes, self.t_nodes, indexing="ij")
-
-    def refined(self) -> "SurfaceGrid":
-        """Halve both spacings (node doubling keeps the endpoints)."""
-        return SurfaceGrid(2 * self.nu - 1, 2 * self.nt - 1, self.t_extent)
 
 
 def source_chart(t_extent: float = 1.0) -> Chart:
@@ -219,8 +218,9 @@ def boundary_dev(F, *, trials: int = 16, seed: int = ex.DEFAULT_SEED) -> float:
     return dev
 
 
-def _check_boundary(F):
-    if getattr(F, "require_boundary", False) and boundary_dev(F) > 1e-9:
+def _check_boundary(F, **sampling):
+    if getattr(F, "require_boundary", False) and \
+            boundary_dev(F, **sampling) > 1e-9:
         raise ValueError("t-components of pi and z must vanish on the "
                          "u-boundary for this configuration")
 
@@ -304,32 +304,27 @@ def _density(J: JacobiPair, f: _Fields, variant: str):
 
 
 def _transport(J: JacobiPair, f: _Fields, red: bool) -> dict:
-    """The 1-form rows x:n and s, one entry per component of z."""
-    s, p, z, tn, ix = f.s, f.p, f.z, J.chart.names, J.chart.index
+    """The 1-form rows x:n and s, dX - J#(pi/s, z) and ds - t(pi) (reduced:
+    J#(p, z) and s t(p)), one entry per component of z."""
+    s, p, z = f.s, f.p, f.z
     ds = (f.du, f.dt)[:len(z)]
+    v_terms, t_terms = jac.sharp_terms(J)
 
     def row(g, terms):
         out = []
         for c, dc in enumerate(ds):
             r = dc(g)
             for coeff, w in terms:
-                r = r + coeff * w[c]
+                r = r - coeff * w[c]
             out.append(r)
         return out
 
-    rows = {}
-    for n in tn:
-        terms = []
-        for m in tn:
-            lam = ex.ZERO if m == n else J.lam.component(ix(n), ix(m))
-            if not ex.is_exact_zero(lam):
-                terms.append((f.at(lam) if red else f.at(lam) / s, p[m]))
-        e = J.e.component(ix(n))
-        if not ex.is_exact_zero(e):
-            terms.append((-f.at(e), z))
-        rows[f"x:{n}"] = row(f.x[n], terms)
-    rows["s"] = row(s, [(f.at(v) * s if red else f.at(v), p[tn[a]])
-                        for (a,), v in J.e.comps.items()])
+    rows = {f"x:{n}": row(f.x[n], [(f.at(c), z) if m is None else
+                                   (f.at(c) if red else f.at(c) / s, p[m])
+                                   for c, m in terms])
+            for n, terms in v_terms.items()}
+    rows["s"] = row(s, [(f.at(c) * s if red else f.at(c), p[m])
+                        for c, m in t_terms])
     return rows
 
 
@@ -454,7 +449,7 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
         raise ValueError("el_residual covers the homogeneous and reduced "
                          "variants")
     J = _as_pair(structure)
-    _check_boundary(F)
+    _check_boundary(F, trials=trials, seed=seed)
     if isinstance(F, FieldConfiguration):
         if (F.s is not None
                 and _s_min_symbolic(F, trials=trials, seed=seed) < S_FLOOR):

@@ -68,6 +68,41 @@ def test_check_bad_inputs_exit_2(tmp_path):
     assert err.strip()
 
 
+BAD_INPUTS = {
+    "gen_weights": ("check", "[structure]\nkind = algebroid\n\n[chart]\n"
+                    "names = x\n\n[generators]\nnames = a\n\n"
+                    "[gen_weights]\na = one\n"),
+    "t_extent": ("verify", "[field]\nt_extent = abc\n"),
+    "duplicate_chart": ("check", "[structure]\nkind = jacobi\n\n[chart]\n"
+                        "names = x, x\n"),
+}
+
+
+def _bad_argv(tmp_path, case):
+    cmd, text = BAD_INPUTS[case]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    if cmd == "verify":
+        return [cmd, fixture("structures/contact-k1.ini"), str(bad)]
+    return [cmd, str(bad)]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_values_exit_2_with_one_line(tmp_path, case):
+    code, out, err = run(*_bad_argv(tmp_path, case))
+    assert code == 2, out + err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_duplicate_chart_rejected_under_python_O(tmp_path):
+    out = subprocess.run([sys.executable, "-O", "-m", "jacobisigma.cli",
+                          *_bad_argv(tmp_path, "duplicate_chart")],
+                         cwd=ROOT, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.startswith("error: ") and "duplicate" in out.stderr
+
+
 # ----------------------------------------------------------------- derive
 
 

@@ -160,6 +160,23 @@ def test_boundary_requirement():
     sg.action(J, G, "homogeneous")  # no raise
 
 
+def test_el_residual_boundary_guard_honours_trials_and_seed():
+    # the edge t-components vanish only at the first Halton point of this
+    # seed: the guard passes on that one point and fails on other samples
+    seed = 12345
+    ch = sg.source_chart()
+    c = ex.halton_point({"t": ch.box["t"]}, 0, seed)["t"]
+    edge = ex.sub(T, ex.coerce(c))
+    F = sg.FieldConfiguration.build(
+        ch, {"x0": U, "x1": ex.ZERO, "x2": ex.ZERO}, s=ex.ONE,
+        pi={"x0": form1(ch, ex.ZERO, edge)}, z=form1(ch, ex.ZERO, edge),
+        require_boundary=True)
+    assert sg.boundary_dev(F) > 1e-3
+    sg.el_residual(sg.contact_pair(1), F, trials=1, seed=seed)  # no raise
+    with pytest.raises(ValueError, match="u-boundary"):
+        sg.el_residual(sg.contact_pair(1), F, trials=16, seed=seed + 1)
+
+
 # ----------------------------------------------------------- stationarity
 
 
