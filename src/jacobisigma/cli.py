@@ -163,7 +163,7 @@ def parse_structure(path):
                                  f"chart coordinate")
             try:
                 obj = HomogeneousPoisson(chart, P, s_name)
-            except AssertionError as err:
+            except ValueError as err:
                 raise InputError(f"{path}: {err}") from err
         else:
             obj = P
@@ -501,7 +501,10 @@ def cmd_derive(args, kw):
         if kind != "jacobi":
             raise InputError(f"poissonize needs a jacobi structure, "
                              f"got kind={kind}")
-        hp = jac.poissonize(obj)
+        try:
+            hp = jac.poissonize(obj)
+        except ValueError as err:
+            raise InputError(f"{args.structure}: {err}") from err
         emit_poisson(out, hp.chart, hp.pi, s_name=hp.s_name)
         checks["poisson_bracket"] = {"ok": bool(hp.poisson_ok(**kw))}
         checks["homogeneity_degree_-1"] = {"ok": bool(hp.homogeneity_ok(**kw))}

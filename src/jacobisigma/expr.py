@@ -184,6 +184,7 @@ def num(x) -> Num:
 
 ZERO = num(0)
 ONE = num(1)
+MINUS_ONE = num(-1)
 PI = Pi()
 
 
@@ -193,46 +194,37 @@ def var(name: str) -> Var:
 
 
 def add(*terms: ExprLike) -> Expression:
-    flat = []
-    const = Fraction(0)
+    out, consts = [], []
     for t in terms:
         t = coerce(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    out = []
-    for t in flat:
-        if isinstance(t, Num):
-            const += t.value
-        else:
-            out.append(t)
-    if const != 0 or not out:
-        out.append(Num(const))
+        for u in (t.terms if isinstance(t, Add) else (t,)):
+            (consts if isinstance(u, Num) else out).append(u)
+    if consts:     # a lone constant is kept as it is
+        c = consts[0] if len(consts) == 1 else _sum(consts)
+        if c.value != 0 or not out:
+            out.append(c)
+    elif not out:
+        return ZERO
     if len(out) == 1:
         return out[0]
     return Add(tuple(out))
 
 
 def mul(*factors: ExprLike) -> Expression:
-    flat = []
-    const = Fraction(1)
+    out, consts = [], []
     for f in factors:
         f = coerce(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    out = []
-    for f in flat:
-        if isinstance(f, Num):
-            const *= f.value
-        else:
-            out.append(f)
-    if const == 0:
-        return ZERO
-    if const != 1:
-        out.insert(0, Num(const))
+        for u in (f.factors if isinstance(f, Mul) else (f,)):
+            if not isinstance(u, Num):
+                out.append(u)
+            elif u.value == 0:
+                return ZERO
+            elif u.value != 1:
+                consts.append(u)
+    if consts:     # a lone constant is kept as it is
+        c = consts[0] if len(consts) == 1 else _product(consts)
+        if c.value != 1:
+            out.insert(0, c)
     if not out:
         return ONE
     if len(out) == 1:
@@ -240,8 +232,26 @@ def mul(*factors: ExprLike) -> Expression:
     return Mul(tuple(out))
 
 
+def _sum(consts: list) -> Num:
+    """The exact sum of several Num nodes, over integers: one Fraction is
+    built and reduced at the end, not one per step."""
+    n, d = 0, 1
+    for c in consts:
+        cn, cd = c.value.numerator, c.value.denominator
+        n, d = n * cd + cn * d, d * cd
+    return Num(Fraction(n, d))
+
+
+def _product(consts: list) -> Num:
+    """The exact product of several Num nodes, over integers, like _sum."""
+    n, d = 1, 1
+    for c in consts:
+        n, d = n * c.value.numerator, d * c.value.denominator
+    return Num(Fraction(n, d))
+
+
 def neg(e: ExprLike) -> Expression:
-    return mul(num(-1), coerce(e))
+    return mul(MINUS_ONE, coerce(e))
 
 
 def sub(a: ExprLike, b: ExprLike) -> Expression:
@@ -551,7 +561,14 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
     one at a time instead, so the EvaluationError names the first bad point
     and the values before it are still yielded.
     """
-    fv = free_vars(e)
+    for p, v in _samples(e, free_vars(e), box, trials, seed):
+        yield dict(p), v
+
+
+def _samples(e: Expression, fv: frozenset, box: Mapping[str, tuple],
+             trials: int, seed: int):
+    """sample_values for e with free variables fv, yielding the cached point
+    dicts themselves (do not mutate); an EvaluationError carries a copy."""
     missing = fv - set(box)
     if missing:
         raise ValueError(f"box is missing variables: {sorted(missing)}")
@@ -561,31 +578,30 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
                                (len(points),)).tolist()
     except ArithmeticError:   # a guard, or OverflowError from a libm power
         for p in points:
-            pt = dict(p)
-            yield pt, evaluate(e, pt)
+            yield p, evaluate(e, dict(p))
         return
-    for p, v in zip(points, vals):
-        yield dict(p), v
+    yield from zip(points, vals)
 
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> bool:
-    if not free_vars(e):
+    fv = free_vars(e)
+    if not fv:
         return abs(evaluate(e, {})) <= tol
-    return all(abs(v) <= tol for _, v in
-               sample_values(e, box, trials=trials, seed=seed))
+    return all(abs(v) <= tol for _, v in _samples(e, fv, box, trials, seed))
 
 
 def max_abs(e: Expression, box: Mapping[str, tuple], *,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """(max |e|, witness point) over the sample set."""
-    if not free_vars(e):
+    fv = free_vars(e)
+    if not fv:
         return abs(evaluate(e, {})), {}
     best, best_pt = -1.0, None
-    for pt, v in sample_values(e, box, trials=trials, seed=seed):
+    for pt, v in _samples(e, fv, box, trials, seed):
         if abs(v) > best:
             best, best_pt = abs(v), pt
-    return best, best_pt
+    return best, None if best_pt is None else dict(best_pt)
 
 
 # ----- parsing -----

@@ -440,7 +440,12 @@ def has_scaling_degree(T: _Tensor, k: int, nu: str = "nu", *,
 def vector_apply(X: MultivectorField, f) -> Expression:
     assert X.degree == 1
     f = ex.coerce(f)
-    parts = [ex.mul(val, ex.differentiate(f, X.chart.names[key[0]]))
+    return _apply_partials(X, lambda name: ex.differentiate(f, name))
+
+
+def _apply_partials(X: MultivectorField, df) -> Expression:
+    """X(f) = sum X^n df(n), with df(name) the partial derivative of f."""
+    parts = [ex.mul(val, df(X.chart.names[key[0]]))
              for key, val in X.comps.items()]
     return ex.add(*parts) if parts else ex.ZERO
 

@@ -10,8 +10,12 @@ than a derivation in each slot.  The pair is a Jacobi structure exactly when
     schouten(E, Lam) = 0   and   schouten(Lam, Lam) + 2 E ^ Lam = 0
 
 (in this package's Schouten normalization; see geometry).  jacobi_check
-tests those residuals and cross-validates with a sampled Jacobiator; the
-two routes disagreeing is an internal error, not a property of the input.
+tests those residuals and cross-validates with sampled Jacobiators of probe
+triples; the two routes disagreeing is an internal error, not a property of
+the input.  Its Jacobiators share their parts: Lam#(df) and E(f) per probe,
+the bracket of each ordered probe pair, and each partial derivative of a
+pair bracket are built once per call, and every Jacobiator is the same tree
+jacobiator() builds.
 
 poissonize produces the degree -1 homogeneous Poisson bivector on the chart
 extended by a positive fibre coordinate s (weight 1):
@@ -29,6 +33,8 @@ z E, -E(p)): v^n = Lam^{mn} p_m + E^n z and t = -E^m p_m.  Every caller
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
 from typing import Mapping
 
 from . import expr as ex
@@ -42,6 +48,11 @@ from .geometry import (Chart, DifferentialForm, MultivectorField, SmoothMap,
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computation routes disagreed; a bug, not bad input."""
+
+
+class HomogeneousPoissonError(ValueError, AssertionError):
+    """Invalid data for a homogeneous Poisson structure.  Also an
+    AssertionError, the type callers caught when it was checked by assert."""
 
 
 @dataclass
@@ -62,11 +73,24 @@ class JacobiPair:
 def bracket(J: JacobiPair, f, g) -> Expression:
     """{f, g} = Lam(df, dg) + f E(g) - g E(f)."""
     f, g = ex.coerce(f), ex.coerce(g)
+    return _bracket(J, f, _first_slot(J, f), g,
+                    lambda name: ex.differentiate(g, name))
+
+
+def _first_slot(J: JacobiPair, f: Expression):
+    """(Lam#(df), E(f)): what the bracket {f, .} needs of f."""
     df = de_rham(form(J.chart, 0, {(): f}))
-    lam_part = vector_apply(sharp(J.lam, df), g)
-    return ex.add(lam_part,
-                  ex.mul(f, vector_apply(J.e, g)),
-                  ex.neg(ex.mul(g, vector_apply(J.e, f))))
+    return sharp(J.lam, df), vector_apply(J.e, f)
+
+
+def _bracket(J: JacobiPair, f: Expression, f_slot, g: Expression,
+             dg) -> Expression:
+    """{f, g} from f_slot = _first_slot(J, f) and dg(name), the partial
+    derivative of g."""
+    sharp_df, e_f = f_slot
+    return ex.add(geo._apply_partials(sharp_df, dg),
+                  ex.mul(f, geo._apply_partials(J.e, dg)),
+                  ex.neg(ex.mul(g, e_f)))
 
 
 def jacobiator(J: JacobiPair, f, g, h) -> Expression:
@@ -77,18 +101,43 @@ def jacobiator(J: JacobiPair, f, g, h) -> Expression:
 
 
 def _jacobiator_probes(J: JacobiPair):
-    """Deterministic probe triples: coordinates, the constant 1, and a few
-    quadratics (the bracket is first order, so these exercise the E terms)."""
+    """Deterministic probes [(name, function)]: the constant 1, the
+    coordinates, and a few quadratics (the bracket is first order, so these
+    exercise the E terms)."""
     coords = [ex.var(n) for n in J.chart.names]
     probes = [("1", ex.ONE)] + [(n, v) for n, v in zip(J.chart.names, coords)]
     for n, v in list(zip(J.chart.names, coords))[:2]:
         probes.append((f"{n}^2", ex.pow_(v, 2)))
-    out = []
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            for c in range(b + 1, len(probes)):
-                out.append((probes[a], probes[b], probes[c]))
-    return out
+    return probes
+
+
+def _jacobiators(J: JacobiPair):
+    """Yield ((name, name, name), jacobiator(J, f, g, h)) for every probe
+    triple f < g < h, each tree equal to the one jacobiator builds.
+
+    The parts that triples share are built once per call: _first_slot per
+    probe, the bracket of each ordered probe pair ({h, f} as bracket(h, f),
+    never as -{f, h}, so the trees match), and each partial derivative of a
+    pair bracket."""
+    names, fns = zip(*_jacobiator_probes(J))
+    slots = [_first_slot(J, f) for f in fns]
+
+    @cache
+    def pair(i, j):              # {f_i, f_j}
+        return _bracket(J, fns[i], slots[i], fns[j],
+                        lambda name: ex.differentiate(fns[j], name))
+
+    @cache
+    def partial(i, j, name):     # d{f_i, f_j} / d name
+        return ex.differentiate(pair(i, j), name)
+
+    def outer(a, i, j):          # {f_a, {f_i, f_j}}
+        return _bracket(J, fns[a], slots[a], pair(i, j),
+                        lambda name: partial(i, j, name))
+
+    for a, b, c in combinations(range(len(fns)), 3):
+        yield ((names[a], names[b], names[c]),
+               ex.add(outer(a, b, c), outer(b, c, a), outer(c, a, b)))
 
 
 @dataclass
@@ -122,10 +171,9 @@ def jacobi_check(J: JacobiPair, *, tol: float = ex.DEFAULT_TOL,
     box = J.chart.sample_box()
     jac_vals = []
     coord_names = set(J.chart.names)
-    for (na, fa), (nb, fb), (nc, fc) in _jacobiator_probes(J):
-        val = jacobiator(J, fa, fb, fc)
+    for triple, val in _jacobiators(J):
         m, _ = ex.max_abs(val, box, trials=trials, seed=seed)
-        jac_vals.append(((na, nb, nc), m))
+        jac_vals.append((triple, m))
     jac_ok = all(m <= tol for _, m in jac_vals)
 
     if not jac_ok and sn_ok:
@@ -152,11 +200,15 @@ class HomogeneousPoisson:
     source: JacobiPair = None
 
     def __post_init__(self):
-        assert self.s_name in self.chart.names
-        assert self.pi.degree == 2 and self.pi.chart == self.chart
+        if self.s_name not in self.chart.names:
+            raise HomogeneousPoissonError(
+                f"'{self.s_name}' is not a chart coordinate")
+        if self.pi.degree != 2 or self.pi.chart != self.chart:
+            raise HomogeneousPoissonError("pi must be a bivector on the chart")
         lo, hi = self.chart.box.get(self.s_name, (0.5, 2.0))
-        assert not (lo <= 0.0 <= hi), \
-            f"the interval of '{self.s_name}' must exclude 0"
+        if lo <= 0.0 <= hi:
+            raise HomogeneousPoissonError(
+                f"the interval of '{self.s_name}' must exclude 0")
 
     @property
     def base_names(self):
@@ -195,7 +247,9 @@ class HomogeneousPoisson:
 def poissonize(J: JacobiPair, s_name: str = "s",
                s_box: tuple = (0.5, 2.0)) -> HomogeneousPoisson:
     """Degree -1 Poisson bivector on the chart extended by s (weight 1)."""
-    assert s_name not in J.chart.names
+    if s_name in J.chart.names:
+        raise HomogeneousPoissonError(
+            f"'{s_name}' is already a chart coordinate; poissonize adds it")
     chart = J.chart.extend((s_name,), box={s_name: s_box}, weights={s_name: 1})
     s_idx = chart.dim - 1
     s = ex.var(s_name)

@@ -75,6 +75,11 @@ BAD_INPUTS = {
     "t_extent": ("verify", "[field]\nt_extent = abc\n"),
     "duplicate_chart": ("check", "[structure]\nkind = jacobi\n\n[chart]\n"
                         "names = x, x\n"),
+    "poissonize_s_taken": ("derive", "[structure]\nkind = jacobi\n\n"
+                           "[chart]\nnames = x, s\n"),
+    "scale_interval_has_0": ("check", "[structure]\nkind = poisson\n"
+                             "s_name = s\n\n[chart]\nnames = x, s\n\n"
+                             "[box]\ns = -1, 1\n"),
 }
 
 
@@ -84,6 +89,9 @@ def _bad_argv(tmp_path, case):
     bad.write_text(text)
     if cmd == "verify":
         return [cmd, fixture("structures/contact-k1.ini"), str(bad)]
+    if cmd == "derive":
+        return [cmd, str(bad), "--what", "poissonize",
+                "-o", str(tmp_path / "out.ini")]
     return [cmd, str(bad)]
 
 
@@ -101,6 +109,19 @@ def test_duplicate_chart_rejected_under_python_O(tmp_path):
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.returncode == 2, out.stdout + out.stderr
     assert out.stderr.startswith("error: ") and "duplicate" in out.stderr
+
+
+@pytest.mark.parametrize("case, message", [
+    ("poissonize_s_taken", "already a chart coordinate"),
+    ("scale_interval_has_0", "must exclude 0")])
+def test_homogeneous_poisson_input_rejected_under_python_O(tmp_path, case,
+                                                            message):
+    out = subprocess.run([sys.executable, "-O", "-m", "jacobisigma.cli",
+                          *_bad_argv(tmp_path, case)],
+                         cwd=ROOT, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.startswith("error: ") and message in out.stderr
 
 
 # ----------------------------------------------------------------- derive

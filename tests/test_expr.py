@@ -1,4 +1,6 @@
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,3 +311,53 @@ def test_halton_cache_is_bounded_and_hands_out_copies():
     witness["y"] = 99.0
     assert ex.halton_points(box, 4, 3) == [ex.halton_point(box, i, 3)
                                            for i in range(4)]
+
+
+# ----- constant folding in add and mul against sequential Fraction folds -----
+
+def _reference_fold(args, node, unit, op):
+    """add (node Add, unit 0, op +) or mul (Mul, 1, *) as a sequential
+    Fraction fold from the unit over the once-flattened arguments."""
+    flat = []
+    for a in map(ex.coerce, args):
+        flat.extend(getattr(a, "terms" if node is ex.Add else "factors")
+                    if isinstance(a, node) else [a])
+    const, out = Fraction(unit), []
+    for t in flat:
+        if isinstance(t, ex.Num):
+            const = op(const, t.value)
+        else:
+            out.append(t)
+    if node is ex.Mul and const == 0:
+        return ex.ZERO
+    if const != unit or not out:
+        if node is ex.Add:
+            out.append(ex.Num(const))
+        else:
+            out.insert(0, ex.Num(const))
+    return out[0] if len(out) == 1 else node(tuple(out))
+
+
+fold_consts = st.one_of(
+    st.sampled_from((0, 1, -1)).map(ex.num),
+    st.fractions(max_denominator=12).map(ex.Num),
+    st.sampled_from((0, 1, -1, Fraction(-3, 4), 0.5)))
+fold_atoms = st.one_of(fold_consts, st.sampled_from(VARS).map(ex.var),
+                       st.just(ex.PI))
+# nested sums and products, normal (smart constructors) or raw (several
+# constants, zeros and ones left in)
+fold_nests = st.one_of(
+    st.lists(fold_atoms, min_size=2, max_size=4).map(lambda a: ex.add(*a)),
+    st.lists(fold_atoms, min_size=2, max_size=4).map(lambda a: ex.mul(*a)),
+    st.lists(fold_atoms, min_size=2, max_size=4).map(
+        lambda a: ex.Add(tuple(map(ex.coerce, a)))),
+    st.lists(fold_atoms, min_size=2, max_size=4).map(
+        lambda a: ex.Mul(tuple(map(ex.coerce, a)))))
+fold_args = st.lists(st.one_of(fold_atoms, fold_nests), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_args)
+def test_add_and_mul_fold_constants_like_sequential_fractions(args):
+    assert ex.add(*args) == _reference_fold(args, ex.Add, 0, operator.add)
+    assert ex.mul(*args) == _reference_fold(args, ex.Mul, 1, operator.mul)
