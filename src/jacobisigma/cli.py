@@ -163,7 +163,7 @@ def parse_structure(path):
                                  f"chart coordinate")
             try:
                 obj = HomogeneousPoisson(chart, P, s_name)
-            except ValueError as err:
+            except jac.HomogeneousPoissonError as err:
                 raise InputError(f"{path}: {err}") from err
         else:
             obj = P
@@ -503,7 +503,7 @@ def cmd_derive(args, kw):
                              f"got kind={kind}")
         try:
             hp = jac.poissonize(obj)
-        except ValueError as err:
+        except jac.HomogeneousPoissonError as err:
             raise InputError(f"{args.structure}: {err}") from err
         emit_poisson(out, hp.chart, hp.pi, s_name=hp.s_name)
         checks["poisson_bracket"] = {"ok": bool(hp.poisson_ok(**kw))}

@@ -198,12 +198,16 @@ def add(*terms: ExprLike) -> Expression:
     for t in terms:
         t = coerce(t)
         for u in (t.terms if isinstance(t, Add) else (t,)):
-            (consts if isinstance(u, Num) else out).append(u)
+            if not isinstance(u, Num):
+                out.append(u)
+            elif u.value != 0:
+                consts.append(u)
     if consts:     # a lone constant is kept as it is
-        c = consts[0] if len(consts) == 1 else _sum(consts)
-        if c.value != 0 or not out:
+        c = (consts[0] if len(consts) == 1
+             else Num(sum(k.value for k in consts)))
+        if c.value != 0:
             out.append(c)
-    elif not out:
+    if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
@@ -222,7 +226,8 @@ def mul(*factors: ExprLike) -> Expression:
             elif u.value != 1:
                 consts.append(u)
     if consts:     # a lone constant is kept as it is
-        c = consts[0] if len(consts) == 1 else _product(consts)
+        c = (consts[0] if len(consts) == 1
+             else Num(math.prod(k.value for k in consts)))
         if c.value != 1:
             out.insert(0, c)
     if not out:
@@ -230,24 +235,6 @@ def mul(*factors: ExprLike) -> Expression:
     if len(out) == 1:
         return out[0]
     return Mul(tuple(out))
-
-
-def _sum(consts: list) -> Num:
-    """The exact sum of several Num nodes, over integers: one Fraction is
-    built and reduced at the end, not one per step."""
-    n, d = 0, 1
-    for c in consts:
-        cn, cd = c.value.numerator, c.value.denominator
-        n, d = n * cd + cn * d, d * cd
-    return Num(Fraction(n, d))
-
-
-def _product(consts: list) -> Num:
-    """The exact product of several Num nodes, over integers, like _sum."""
-    n, d = 1, 1
-    for c in consts:
-        n, d = n * c.value.numerator, d * c.value.denominator
-    return Num(Fraction(n, d))
 
 
 def neg(e: ExprLike) -> Expression:
@@ -561,47 +548,42 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
     one at a time instead, so the EvaluationError names the first bad point
     and the values before it are still yielded.
     """
-    for p, v in _samples(e, free_vars(e), box, trials, seed):
-        yield dict(p), v
-
-
-def _samples(e: Expression, fv: frozenset, box: Mapping[str, tuple],
-             trials: int, seed: int):
-    """sample_values for e with free variables fv, yielding the cached point
-    dicts themselves (do not mutate); an EvaluationError carries a copy."""
-    missing = fv - set(box)
-    if missing:
-        raise ValueError(f"box is missing variables: {sorted(missing)}")
     points, cols = _halton_set(box, trials, seed)
     try:
         vals = np.broadcast_to(_evaluate(e, cols, _libm_pow),
                                (len(points),)).tolist()
-    except ArithmeticError:   # a guard, or OverflowError from a libm power
+    except ArithmeticError:
+        # a guard, a variable the box lacks, or OverflowError from a libm power
+        missing = free_vars(e) - set(box)
+        if missing:
+            raise ValueError(f"box is missing variables: {sorted(missing)}") \
+                from None
         for p in points:
-            yield p, evaluate(e, dict(p))
+            pt = dict(p)
+            yield pt, evaluate(e, pt)
         return
-    yield from zip(points, vals)
+    for p, v in zip(points, vals):
+        yield dict(p), v
 
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> bool:
-    fv = free_vars(e)
-    if not fv:
+    if not free_vars(e):
         return abs(evaluate(e, {})) <= tol
-    return all(abs(v) <= tol for _, v in _samples(e, fv, box, trials, seed))
+    return all(abs(v) <= tol for _, v in
+               sample_values(e, box, trials=trials, seed=seed))
 
 
 def max_abs(e: Expression, box: Mapping[str, tuple], *,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """(max |e|, witness point) over the sample set."""
-    fv = free_vars(e)
-    if not fv:
+    if not free_vars(e):
         return abs(evaluate(e, {})), {}
     best, best_pt = -1.0, None
-    for pt, v in _samples(e, fv, box, trials, seed):
+    for pt, v in sample_values(e, box, trials=trials, seed=seed):
         if abs(v) > best:
             best, best_pt = abs(v), pt
-    return best, None if best_pt is None else dict(best_pt)
+    return best, best_pt
 
 
 # ----- parsing -----
