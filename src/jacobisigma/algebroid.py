@@ -179,8 +179,9 @@ class AlgebroidForm(geo._Tensor):
         super().__init__(alg.gen_chart, degree, comps)
 
     def _new(self, comps, degree: int = None):
-        return AlgebroidForm(self.alg, self.degree if degree is None else degree,
-                             comps)
+        out = super()._new(comps, degree)
+        out.alg = self.alg
+        return out
 
     def __repr__(self):
         return f"AlgebroidForm(deg {self.degree}: {self.pretty('y')})"

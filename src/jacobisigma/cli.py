@@ -8,7 +8,8 @@ strings (the grammar of the expr module).  Four commands:
   jsm verify <structure> <field>              residuals / morphism verdicts
   jsm example <name>                          run a built-in example
 
-Common flags: --json PATH --seed N --tol X --trials N --grid NxM.
+Common flags: --json PATH --seed N --tol X --trials N --grid NxM, with
+--trials at least 1 and --tol finite and not negative.
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
 JSON reports are deterministic for fixed inputs and seed.
 """
@@ -749,11 +750,21 @@ _DISPATCH = {"check": cmd_check, "derive": cmd_derive,
              "verify": cmd_verify, "example": cmd_example}
 
 
+def _check_settings(args):
+    """Reject sampling settings under which a check could not fail."""
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be finite and not negative, "
+                         f"got {args.tol}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     kw = dict(tol=args.tol, trials=args.trials, seed=args.seed)
     t0 = time.perf_counter()
     try:
+        _check_settings(args)
         body, ok = _DISPATCH[args.cmd](args, kw)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

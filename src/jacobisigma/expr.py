@@ -15,11 +15,15 @@ the sample points are a pure function of (seed, trial index), so every run
 with the same arguments sees the same points.  Sampling is one array pass:
 the points of a (box, trials, seed) are built once and kept in a bounded
 cache as one column per coordinate, and an expression is evaluated on all
-columns at once.  The values equal the per-point scalar evaluation bit for
-bit.  Sums, products, quotients and sin/cos/exp/log round the same way on
-arrays as on scalars; numpy's SIMD power does not match libm pow in the last
-bit, so the sampling pass raises each element with Python's ** (libm), the
-power a scalar evaluation uses.
+columns at once.  A column is the radical inverse in that coordinate's
+prime, taken over all trial indices at once with numpy; each element goes
+through the operations of the scalar halton_point in the same order, so the
+columns hold its floats exactly, and the point dicts built from them keep
+its sorted-name key order.  The values equal the per-point scalar
+evaluation bit for bit.  Sums, products, quotients and sin/cos/exp/log
+round the same way on arrays as on scalars; numpy's SIMD power does not
+match libm pow in the last bit, so the sampling pass raises each element
+with Python's ** (libm), the power a scalar evaluation uses.
 """
 
 from __future__ import annotations
@@ -196,7 +200,8 @@ def var(name: str) -> Var:
 def add(*terms: ExprLike) -> Expression:
     out, consts = [], []
     for t in terms:
-        t = coerce(t)
+        if not isinstance(t, Expression):
+            t = coerce(t)
         for u in (t.terms if isinstance(t, Add) else (t,)):
             if not isinstance(u, Num):
                 out.append(u)
@@ -217,7 +222,8 @@ def add(*terms: ExprLike) -> Expression:
 def mul(*factors: ExprLike) -> Expression:
     out, consts = [], []
     for f in factors:
-        f = coerce(f)
+        if not isinstance(f, Expression):
+            f = coerce(f)
         for u in (f.factors if isinstance(f, Mul) else (f,)):
             if not isinstance(u, Num):
                 out.append(u)
@@ -238,7 +244,7 @@ def mul(*factors: ExprLike) -> Expression:
 
 
 def neg(e: ExprLike) -> Expression:
-    return mul(MINUS_ONE, coerce(e))
+    return mul(MINUS_ONE, e)
 
 
 def sub(a: ExprLike, b: ExprLike) -> Expression:
@@ -307,6 +313,25 @@ def normalize(e: Expression) -> Expression:
 def is_exact_zero(e) -> bool:
     """True when e is the constant 0 itself (a structural test, no sampling)."""
     return isinstance(e, Num) and e.value == 0
+
+
+def _has_var(e: Expression) -> bool:
+    """Does a Var occur in e?  Stops at the first one."""
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Num, Pi)):
+        return False
+    if isinstance(e, Add):
+        return any(_has_var(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return any(_has_var(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return _has_var(e.base)
+    if isinstance(e, Div):
+        return _has_var(e.num) or _has_var(e.den)
+    if isinstance(e, Fn):
+        return _has_var(e.arg)
+    raise TypeError(type(e))
 
 
 def free_vars(e: Expression) -> frozenset:
@@ -493,11 +518,29 @@ def _radical_inverse(i: int, base: int) -> float:
     return x
 
 
+def _radical_inverses(idx: np.ndarray, base: int) -> np.ndarray:
+    """[_radical_inverse(i, base) for i in idx], the same floats: every
+    element goes through the same operations in the same order, and one
+    whose digits have run out adds f * 0 = +0.0, which changes nothing."""
+    x, f = np.zeros(len(idx)), 1.0 / base
+    i = idx.copy()
+    while i.any():
+        x += f * (i % base)
+        i //= base
+        f /= base
+    return x
+
+
+def _halton_start(seed: int) -> int:
+    """The Halton index of trial 0."""
+    return (seed % 100003) + 17
+
+
 def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
     """Deterministic sample in the box: pure function of (seed, trial)."""
     names = sorted(box)
     primes = _primes(len(names))
-    start = (seed % 100003) + 17
+    start = _halton_start(seed)
     pt = {}
     for d, n in enumerate(names):
         lo, hi = box[n]
@@ -522,10 +565,16 @@ def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
     if hit is not None:
         _HALTON_CACHE.move_to_end(key)
         return hit
-    points = [halton_point(box, i, seed) for i in range(trials)]
-    cols = {n: np.array([p[n] for p in points], dtype=float) for n in box}
-    for c in cols.values():
-        c.flags.writeable = False
+    names = sorted(box)
+    primes = _primes(len(names))
+    idx = np.arange(trials, dtype=np.int64) + _halton_start(seed)
+    cols = {}
+    for d, n in enumerate(names):
+        lo, hi = box[n]
+        cols[n] = float(lo) + float(hi - lo) * _radical_inverses(idx, primes[d])
+        cols[n].flags.writeable = False
+    rows = [cols[n].tolist() for n in names]
+    points = [dict(zip(names, [r[t] for r in rows])) for t in range(trials)]
     hit = (points, cols)
     if len(points) * len(box) <= _CACHE_COORDS:
         _HALTON_CACHE[key] = hit
@@ -546,8 +595,11 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
     One array pass evaluates e on all points; its values equal evaluate(e,
     point) bit for bit.  If a guard trips anywhere, the points are walked
     one at a time instead, so the EvaluationError names the first bad point
-    and the values before it are still yielded.
+    and the values before it are still yielded.  Raises ValueError when
+    trials < 1: a check over no points would pass vacuously.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     points, cols = _halton_set(box, trials, seed)
     try:
         vals = np.broadcast_to(_evaluate(e, cols, _libm_pow),
@@ -568,7 +620,7 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> bool:
-    if not free_vars(e):
+    if not _has_var(e):
         return abs(evaluate(e, {})) <= tol
     return all(abs(v) <= tol for _, v in
                sample_values(e, box, trials=trials, seed=seed))
@@ -577,7 +629,7 @@ def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL
 def max_abs(e: Expression, box: Mapping[str, tuple], *,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """(max |e|, witness point) over the sample set."""
-    if not free_vars(e):
+    if not _has_var(e):
         return abs(evaluate(e, {})), {}
     best, best_pt = -1.0, None
     for pt, v in sample_values(e, box, trials=trials, seed=seed):

@@ -114,40 +114,64 @@ def _normalize_key(key, chart: Chart):
     return (-1) ** inversions, srt
 
 
+def _sign(s: int) -> Expression:
+    """The constant +1 or -1 of a permutation sign."""
+    return ex.ONE if s > 0 else ex.MINUS_ONE
+
+
+def _tensor(cls, chart: Chart, degree: int, comps: Mapping):
+    """A cls over comps that already keep the _Tensor invariant (the
+    trusted path): only exact zeros are dropped, and the order is kept."""
+    T = cls.__new__(cls)
+    T.chart, T.degree = chart, degree
+    T.comps = {k: v for k, v in comps.items() if not ex.is_exact_zero(v)}
+    return T
+
+
 class _Tensor:
     """Shared container behaviour for MultivectorField / DifferentialForm,
     keyed on the coordinate indices of `chart`, and for
-    algebroid.AlgebroidForm, keyed on generator indices."""
+    algebroid.AlgebroidForm, keyed on generator indices.
+
+    Invariant: every key of `comps` is a strictly increasing index tuple of
+    length `degree`, and every value is smart-constructor output (normal at
+    the top) and not the exact zero.
+
+    There are two ways in.  The public constructor (`mvf`, `form`,
+    `_Tensor(...)`, `AlgebroidForm(...)`) takes caller input: keys of indices
+    or names in any order, values of any ExprLike.  It sorts each key, folds
+    in the permutation sign and sums the values that land on one key.
+    geometry's own operations build their output under the invariant
+    already (keys from `_merge_indices`, `_right_deriv` or sorted by
+    construction, values from the smart constructors), so they go through
+    `_tensor` / `_new`, which only drop exact zeros.  On such data the public
+    constructor changes nothing, dict order included."""
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping = None):
         # degree may exceed dim: such a tensor is necessarily zero
         assert 0 <= degree
         self.chart = chart
         self.degree = degree
-        self.comps = {}
-        if comps:
-            for key, val in comps.items():
-                if not isinstance(key, tuple):
-                    key = (key,)
-                sign, nk = _normalize_key(key, chart)
-                assert len(nk) == degree, f"key {key} has wrong length"
-                cur = self.comps.get(nk, ex.ZERO)
-                self.comps[nk] = ex.add(cur, ex.mul(ex.num(sign), ex.coerce(val)))
-        self._drop_zeros()
-
-    def _drop_zeros(self):
-        self.comps = {k: v for k, v in self.comps.items()
-                      if not ex.is_exact_zero(v)}
+        out = {}
+        for key, val in (comps or {}).items():
+            if not isinstance(key, tuple):
+                key = (key,)
+            sign, nk = _normalize_key(key, chart)
+            assert len(nk) == degree, f"key {key} has wrong length"
+            out[nk] = ex.add(out.get(nk, ex.ZERO),
+                             ex.mul(_sign(sign), ex.coerce(val)))
+        self.comps = {k: v for k, v in out.items() if not ex.is_exact_zero(v)}
 
     def component(self, *key) -> Expression:
         if not key and self.degree == 0:
             return self.comps.get((), ex.ZERO)
         sign, nk = _normalize_key(key, self.chart)
-        return ex.mul(ex.num(sign), self.comps.get(nk, ex.ZERO))
+        return ex.mul(_sign(sign), self.comps.get(nk, ex.ZERO))
 
     def _new(self, comps, degree: int = None):
-        return type(self)(self.chart, self.degree if degree is None else degree,
-                          comps)
+        """A tensor of this type and chart over trusted comps."""
+        return _tensor(type(self), self.chart,
+                       self.degree if degree is None else degree, comps)
 
     def __add__(self, other):
         assert type(other) is type(self) and other.chart == self.chart
@@ -214,7 +238,7 @@ def _table_product(t1: dict, t2: dict) -> dict:
                 continue
             sign, key = m
             out[key] = ex.add(out.get(key, ex.ZERO),
-                              ex.mul(ex.num(sign), f, g))
+                              ex.mul(_sign(sign), f, g))
     return out
 
 
@@ -234,7 +258,7 @@ def _right_deriv(comps: dict, k: int, degree: int) -> dict:
         j = key.index(k)
         nk = key[:j] + key[j + 1:]
         sign = (-1) ** (degree - 1 - j)
-        out[nk] = ex.add(out.get(nk, ex.ZERO), ex.mul(ex.num(sign), val))
+        out[nk] = ex.add(out.get(nk, ex.ZERO), ex.mul(_sign(sign), val))
     return out
 
 
@@ -256,14 +280,14 @@ def schouten(P: MultivectorField, Q: MultivectorField) -> MultivectorField:
     assert P.chart == Q.chart
     p, q = P.degree, Q.degree
     if p + q == 0:
-        return mvf(P.chart, 0)
+        return _tensor(MultivectorField, P.chart, 0, {})
     sign = -((-1) ** ((p - 1) * (q - 1)))
     t1 = _half_bracket(P, Q)
     t2 = _half_bracket(Q, P)
     out = dict(t1)
     for k, v in t2.items():
-        out[k] = ex.add(out.get(k, ex.ZERO), ex.mul(ex.num(sign), v))
-    return mvf(P.chart, p + q - 1, out)
+        out[k] = ex.add(out.get(k, ex.ZERO), ex.mul(_sign(sign), v))
+    return _tensor(MultivectorField, P.chart, p + q - 1, out)
 
 
 # ----- exterior derivative -----
@@ -280,8 +304,8 @@ def de_rham(w: DifferentialForm) -> DifferentialForm:
             if m is None:
                 continue
             sign, nk = m
-            out[nk] = ex.add(out.get(nk, ex.ZERO), ex.mul(ex.num(sign), dv))
-    return form(chart, w.degree + 1, out)
+            out[nk] = ex.add(out.get(nk, ex.ZERO), ex.mul(_sign(sign), dv))
+    return _tensor(DifferentialForm, chart, w.degree + 1, out)
 
 
 # ----- complete (tangent) lift -----
@@ -317,8 +341,8 @@ def tangent_lift(P: MultivectorField, tchart: Chart = None,
         for j, a in enumerate(key):
             rest = tuple(b + n for i, b in enumerate(key) if i != j)
             nk = (a,) + rest  # base index first: already increasing
-            put(nk, ex.mul(ex.num((-1) ** j), val))
-    return mvf(tchart, P.degree, out)
+            put(nk, ex.mul(_sign((-1) ** j), val))
+    return _tensor(MultivectorField, tchart, P.degree, out)
 
 
 # ----- smooth maps, pullback, pushforward -----
@@ -372,7 +396,7 @@ def pullback(w: DifferentialForm, smap: SmoothMap) -> DifferentialForm:
             table = _table_product(table, dphi)
         for k, v in table.items():
             out[k] = ex.add(out.get(k, ex.ZERO), v)
-    return form(src, w.degree, out)
+    return _tensor(DifferentialForm, src, w.degree, out)
 
 
 def pushforward(P: MultivectorField, fwd: SmoothMap, inv: SmoothMap) -> MultivectorField:
@@ -393,7 +417,7 @@ def pushforward(P: MultivectorField, fwd: SmoothMap, inv: SmoothMap) -> Multivec
             table = _table_product(table, jac)
         for k, v in table.items():
             out[k] = ex.add(out.get(k, ex.ZERO), inv.apply(v))
-    return mvf(dst, P.degree, out)
+    return _tensor(MultivectorField, dst, P.degree, out)
 
 
 # ----- scaling action -----
@@ -454,21 +478,24 @@ def sharp(B: MultivectorField, alpha: DifferentialForm) -> MultivectorField:
     """B#(alpha) = B(alpha, .) for a bivector and a 1-form."""
     assert B.degree == 2 and alpha.degree == 1 and B.chart == alpha.chart
     out = {}
-
-    def put(i, v):
-        out[(i,)] = ex.add(out.get((i,), ex.ZERO), v)
-
     for (i, j), val in B.comps.items():
-        put(j, ex.mul(alpha.comps.get((i,), ex.ZERO), val))
-        put(i, ex.neg(ex.mul(alpha.comps.get((j,), ex.ZERO), val)))
-    return mvf(B.chart, 1, out)
+        # alpha_i val at j and -alpha_j val at i; the slot is taken even where
+        # alpha has no component, so the order of the output never depends
+        # on which components of alpha happen to vanish
+        for k, a, negate in ((j, i, False), (i, j, True)):
+            cur = out.setdefault((k,), ex.ZERO)
+            w = alpha.comps.get((a,))
+            if w is not None:
+                t = ex.mul(w, val)
+                out[(k,)] = ex.add(cur, ex.neg(t) if negate else t)
+    return _tensor(MultivectorField, B.chart, 1, out)
 
 
 def interior(X: MultivectorField, w: DifferentialForm) -> DifferentialForm:
     """Left interior product of a vector field with a p-form."""
     assert X.degree == 1 and X.chart == w.chart
     if w.degree == 0:
-        return form(w.chart, 0)
+        return _tensor(DifferentialForm, w.chart, 0, {})
     out = {}
     for key, val in w.comps.items():
         for j, a in enumerate(key):
@@ -476,9 +503,9 @@ def interior(X: MultivectorField, w: DifferentialForm) -> DifferentialForm:
             if xa is None:
                 continue
             nk = key[:j] + key[j + 1:]
-            contrib = ex.mul(ex.num((-1) ** j), xa, val)
+            contrib = ex.mul(_sign((-1) ** j), xa, val)
             out[nk] = ex.add(out.get(nk, ex.ZERO), contrib)
-    return form(w.chart, w.degree - 1, out)
+    return _tensor(DifferentialForm, w.chart, w.degree - 1, out)
 
 
 def lie_derivative(X: MultivectorField, w: DifferentialForm) -> DifferentialForm:

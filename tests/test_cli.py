@@ -80,19 +80,31 @@ BAD_INPUTS = {
     "scale_interval_has_0": ("check", "[structure]\nkind = poisson\n"
                              "s_name = s\n\n[chart]\nnames = x, s\n\n"
                              "[box]\ns = -1, 1\n"),
+    # sampling settings under which no check could fail; an entry's third
+    # and later items are flags, and an example entry names the example
+    "trials_0": ("check", (ROOT / "structures/moebius-atlas.ini").read_text(),
+                 "--trials", "0"),
+    "trials_0_example": ("example", "contact-k", "--trials", "0"),
+    "trials_negative": ("example", "moebius", "--trials", "-5"),
+    "tol_nan": ("check", (ROOT / "structures/contact-k1.ini").read_text(),
+                "--tol", "nan"),
+    "tol_inf": ("example", "contact-k", "--tol", "inf"),
+    "tol_negative": ("example", "contact-k", "--tol=-0.5"),
 }
 
 
 def _bad_argv(tmp_path, case):
-    cmd, text = BAD_INPUTS[case]
+    cmd, text, *flags = BAD_INPUTS[case]
+    if cmd == "example":
+        return [cmd, text, *flags]
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     if cmd == "verify":
-        return [cmd, fixture("structures/contact-k1.ini"), str(bad)]
+        return [cmd, fixture("structures/contact-k1.ini"), str(bad), *flags]
     if cmd == "derive":
         return [cmd, str(bad), "--what", "poissonize",
-                "-o", str(tmp_path / "out.ini")]
-    return [cmd, str(bad)]
+                "-o", str(tmp_path / "out.ini"), *flags]
+    return [cmd, str(bad), *flags]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -236,9 +236,12 @@ def _reference_is_zero(e, box, trials, seed, tol=1e-9):
 
 
 def _exactly(v):
-    """A value by type and bits, so 0.0 and -0.0 differ."""
+    """A value by type and bits, so 0.0 and -0.0 differ; a point by its
+    keys in order and their values."""
     if isinstance(v, tuple):
         return tuple(_exactly(u) for u in v)
+    if isinstance(v, dict):
+        return tuple((k, _exactly(u)) for k, u in v.items())
     return (type(v), v.hex()) if isinstance(v, float) else v
 
 
@@ -258,18 +261,39 @@ def _once(run):
     yield run()
 
 
+# 15 coordinates, inserted in an order that differs from the sorted one
+# (v10 sorts before v2), with float and integer bounds
+WIDE_BOX = dict({f"v{i}": (i / 8 - 1.0, 1.0 + i / 3) for i in range(12)},
+                x=(-1, 2), y=(0.25, 0.75), z=(-1.0, 1.0))
+
+
 @settings(max_examples=200, deadline=None)
-@given(wide_exprs, st.sampled_from((1, 7, 64)), st.integers(0, 2 ** 31))
-def test_batched_sampling_matches_pointwise_evaluation(e, trials, seed):
-    args = (BOX, trials, seed)
+@given(wide_exprs, st.sampled_from((BOX, WIDE_BOX)), st.sampled_from((1, 7, 64)),
+       st.integers(0, 2 ** 31))
+def test_batched_sampling_matches_pointwise_evaluation(e, box, trials, seed):
+    args = (box, trials, seed)
     kw = dict(trials=trials, seed=seed)
-    assert (_trace(ex.sample_values(e, BOX, **kw))
+    ex._HALTON_CACHE.clear()     # build the sample set, not a cached one
+    assert (_trace(ex.sample_values(e, box, **kw))
             == _trace(_reference_values(e, *args)))
-    assert (_trace(_once(lambda: ex.max_abs(e, BOX, **kw)))
+    assert (_trace(_once(lambda: ex.max_abs(e, box, **kw)))
             == _trace(_once(lambda: _reference_max_abs(e, *args))))
     for f in (e, ex.sub(e, e)):
-        assert (_trace(_once(lambda: ex.is_zero(f, BOX, tol=1e-9, **kw)))
+        assert (_trace(_once(lambda: ex.is_zero(f, box, tol=1e-9, **kw)))
                 == _trace(_once(lambda: _reference_is_zero(f, *args))))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampling_needs_at_least_one_trial(trials):
+    x = ex.var("x")
+    with pytest.raises(ValueError, match="trials"):
+        next(ex.sample_values(x, BOX, trials=trials))
+    with pytest.raises(ValueError, match="trials"):
+        ex.max_abs(x, BOX, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        ex.is_zero(x, BOX, trials=trials)
+    # a box without coordinates still has one (empty) point per trial
+    assert list(ex.sample_values(ex.num(2), {}, trials=3)) == [({}, 2.0)] * 3
 
 
 def _pole_at(box, trial, seed):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobisigma import expr as ex
 from jacobisigma import geometry as geo
@@ -315,3 +316,92 @@ def test_lie_derivative_component_formula():
                 ex.mul(X.component(j), ex.differentiate(w.component(i), nj)),
                 ex.mul(w.component(j), ex.differentiate(X.component(j), ni)))
         assert ex.is_zero(ex.sub(lw.component(i), want), box), ni
+
+
+# ----- the trusted construction path -----
+
+NAMES4 = ("w", "x", "y", "z")
+
+
+def _poly(draw, names):
+    """A small polynomial over names, built through the smart constructors;
+    sometimes the exact zero, sometimes a constant."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        mono = ex.num(draw(st.integers(-3, 3)))
+        for n in (draw(st.lists(st.sampled_from(names), max_size=2))
+                  if names else ()):
+            mono = ex.mul(mono, ex.var(n))
+        terms.append(mono)
+    e = ex.add(*terms) if terms else ex.ZERO
+    return ex.div(e, ex.num(draw(st.sampled_from((1, 2, 3)))))
+
+
+def _comps(draw, chart, degree):
+    """Public-constructor input with some components left out."""
+    return {key: _poly(draw, chart.names)
+            for key in itertools.combinations(range(chart.dim), degree)
+            if draw(st.booleans())}
+
+
+def _as_built_by_public_constructor(T):
+    return list(type(T)(T.chart, T.degree, T.comps).comps.items())
+
+
+def _sharp_unconditional(B, alpha):
+    """sharp with a product for every component of B, zero or not."""
+    out = {}
+    for (i, j), val in B.comps.items():
+        out[(j,)] = ex.add(out.get((j,), ex.ZERO),
+                           ex.mul(alpha.comps.get((i,), ex.ZERO), val))
+        out[(i,)] = ex.add(out.get((i,), ex.ZERO),
+                           ex.neg(ex.mul(alpha.comps.get((j,), ex.ZERO), val)))
+    return geo.mvf(B.chart, 1, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_public_constructor_is_a_no_op_on_operation_results(data):
+    draw = data.draw
+    ch = Chart(NAMES4[:draw(st.integers(1, 4))])
+    n = ch.dim
+
+    def mv(deg):
+        return geo.mvf(ch, deg, _comps(draw, ch, deg))
+
+    def fm(deg):
+        return geo.form(ch, deg, _comps(draw, ch, deg))
+
+    p, q, r = (draw(st.integers(0, min(n, 3))) for _ in range(3))
+    P, Q, w = mv(p), mv(q), fm(r)
+    X, B, alpha = mv(1), mv(2), fm(1)
+    c = _poly(draw, ch.names)
+    # a shear and its inverse: the first coordinate moves by a polynomial
+    # in the others
+    shift = _poly(draw, ch.names[1:])
+    fwd = SmoothMap(ch, ch, {m: ex.add(ex.var(m), shift) if k == 0
+                             else ex.var(m) for k, m in enumerate(ch.names)})
+    inv = SmoothMap(ch, ch, {m: ex.sub(ex.var(m), shift) if k == 0
+                             else ex.var(m) for k, m in enumerate(ch.names)})
+    results = [geo.sharp(B, alpha), geo.de_rham(w), geo.schouten(P, Q),
+               geo.wedge(P, Q), geo.wedge(w, alpha), geo.interior(X, w),
+               P.scale(c), w.scale(-1), P + P.scale(2), w + fm(r), w - w,
+               geo.tangent_lift(P), geo.pullback(w, fwd),
+               geo.pushforward(P, fwd, inv)]
+    for T in results:
+        assert _as_built_by_public_constructor(T) == list(T.comps.items())
+        assert all(len(k) == T.degree and list(k) == sorted(set(k))
+                   for k in T.comps)
+    # a sparse 1-form leaves the order of sharp's components as it was
+    assert (list(geo.sharp(B, alpha).comps.items())
+            == list(_sharp_unconditional(B, alpha).comps.items()))
+
+
+def test_sharp_keeps_its_component_order_for_a_sparse_form():
+    x, y, z = (ex.var(n) for n in CH3.names)
+    B = geo.mvf(CH3, 2, {(0, 1): x, (1, 2): y})
+    alpha = geo.form(CH3, 1, {(1,): z, (2,): ex.ONE})   # no dx component
+    X = geo.sharp(B, alpha)
+    assert list(X.comps) == [(1,), (0,), (2,)]
+    assert (list(X.comps.items())
+            == list(_sharp_unconditional(B, alpha).comps.items()))
