@@ -440,7 +440,7 @@ def push_scale(T: _Tensor, nu: str = "nu") -> _Tensor:
     for key, val in T.comps.items():
         wsum = sum(chart.weight(chart.names[i]) for i in key)
         out[key] = ex.mul(ex.pow_(nu_v, sgn * wsum), ex.substitute(val, subs))
-    return type(T)(bigchart, T.degree, out)
+    return _tensor(type(T), bigchart, T.degree, out)
 
 
 def has_scaling_degree(T: _Tensor, k: int, nu: str = "nu", *,

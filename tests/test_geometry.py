@@ -363,7 +363,8 @@ def _sharp_unconditional(B, alpha):
 @given(st.data())
 def test_public_constructor_is_a_no_op_on_operation_results(data):
     draw = data.draw
-    ch = Chart(NAMES4[:draw(st.integers(1, 4))])
+    names = NAMES4[:draw(st.integers(1, 4))]
+    ch = Chart(names, weights={names[0]: 1})
     n = ch.dim
 
     def mv(deg):
@@ -387,7 +388,8 @@ def test_public_constructor_is_a_no_op_on_operation_results(data):
                geo.wedge(P, Q), geo.wedge(w, alpha), geo.interior(X, w),
                P.scale(c), w.scale(-1), P + P.scale(2), w + fm(r), w - w,
                geo.tangent_lift(P), geo.pullback(w, fwd),
-               geo.pushforward(P, fwd, inv)]
+               geo.pushforward(P, fwd, inv), geo.push_scale(P),
+               geo.push_scale(w)]
     for T in results:
         assert _as_built_by_public_constructor(T) == list(T.comps.items())
         assert all(len(k) == T.degree and list(k) == sorted(set(k))
