@@ -10,7 +10,10 @@ prints:
   digest, as `perfbench/ops.py` computes them (or the error an op raised);
 * one line per CLI report in a fixed list (`check` on every shipped
   structure, every built-in example, and `verify` plain, on a grid and with
-  the reduced variant): the exit code and the sha256 of the `--json` report.
+  the reduced variant): the exit code and the sha256 of the `--json` report;
+* one line per run of the grid scripts (`convergence_study.py` in both
+  variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
+  covers: the sha256 of what the script prints.
 
 The program is imported from this checkout's `src/`, whatever PYTHONPATH
 says; `perfbench/` is used read-only.
@@ -25,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from collections import OrderedDict
@@ -39,6 +43,9 @@ from jacobisigma import cli  # noqa: E402
 from jacobisigma import sigma as sg  # noqa: E402
 
 WORKLOADS = ("verdict_symbolic", "verdict_sampled", "grid_fd")
+SCRIPT_RUNS = (("convergence_study.py",),
+               ("convergence_study.py", "--variant", "reduced"),
+               ("holonomy_sweep.py",))
 
 
 def cli_cases():
@@ -87,6 +94,18 @@ def report_digest(argv, tmp):
     return code, digest
 
 
+def script_digest(argv):
+    """sha256 of the stdout of scripts/<argv[0]> run with argv[1:]."""
+    out, saved = io.StringIO(), sys.argv
+    sys.argv = [str(ROOT / "scripts" / argv[0]), *argv[1:]]
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(sys.argv[0], run_name="__main__")
+    finally:
+        sys.argv = saved
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="verdict_symbolic", choices=WORKLOADS)
@@ -104,6 +123,9 @@ def main():
         for label, argv in cli_cases():
             code, digest = report_digest(argv, tmp)
             print(f"{label:<40} {code}  {digest}")
+        print("# grid scripts: sha256 of stdout")
+        for argv in SCRIPT_RUNS:
+            print(f"{' '.join(argv):<40}    {script_digest(argv)}")
     return 0
 
 

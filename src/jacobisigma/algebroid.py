@@ -259,7 +259,10 @@ def algebroid_d(A: AlgebroidStructure, w) -> AlgebroidForm:
                     continue
                 s2, k2 = m2
                 put(k2, ex.mul(ex.num((-1) ** j * s1 * s2), ex.mul(val, cv)))
-    return AlgebroidForm(A, w.degree + 1, out)
+    # keys from _merge_indices, values from the smart constructors
+    dw = geo._tensor(AlgebroidForm, A.gen_chart, w.degree + 1, out)
+    dw.alg = A
+    return dw
 
 
 def d_squared_residuals(A: AlgebroidStructure):

@@ -295,6 +295,10 @@ def parse_field(path) -> dict:
         t_extent = float(cp.get("field", "t_extent", fallback="1.0"))
     except ValueError as err:
         raise InputError(f"{path}: [field] t_extent: {err}") from err
+    try:
+        sg.source_chart(t_extent)
+    except ValueError as err:
+        raise InputError(f"{path}: [field] {err}") from err
     grid = cp.get("field", "grid", fallback="").strip() or None
     allowed = {"u", "t"}
     maps = {n: _parse_expr(v, allowed, f"{path}: [maps] {n}")
@@ -577,6 +581,11 @@ def _algebroid_dev(A, B, kw) -> float:
     return dev
 
 
+def _grid_error(grid, err) -> str:
+    return (f"the field cannot be evaluated on the {grid.nu}x{grid.nt} "
+            f"grid: {err}")
+
+
 def cmd_verify(args, kw):
     kind, obj = parse_structure(args.structure)
     fld = parse_field(args.field)
@@ -602,14 +611,21 @@ def cmd_verify(args, kw):
                                      "norms": {k: float(v) for k, v
                                                in rep.norms.items()}}
             if grid is not None:
-                D = sg.sample_config(F, grid)
-                rep_d = sg.el_residual(J, D, variant=variant, **kw)
+                try:
+                    rep_d = sg.el_residual(J, sg.sample_config(F, grid),
+                                           variant=variant, **kw)
+                except ex.EvaluationError as err:
+                    raise InputError(_grid_error(grid, err)) from err
                 # finite-difference norms are informational (no verdict)
                 checks["el_residual_grid"] = {
                     "norms": {k: float(v) for k, v in rep_d.norms.items()},
                     "max": float(rep_d.max_dev)}
         else:
-            val = sg.action(J, F, "constrained", grid or sg.SurfaceGrid())
+            grid = grid or sg.SurfaceGrid(t_extent=fld["t_extent"])
+            try:
+                val = sg.action(J, F, "constrained", grid)
+            except ex.EvaluationError as err:
+                raise InputError(_grid_error(grid, err)) from err
             checks["action"] = {"variant": "constrained", "value": float(val)}
         if variant == "reduced":
             ch = F.chart

@@ -588,6 +588,28 @@ def halton_points(box: Mapping[str, tuple], trials: int, seed: int) -> list:
     return [dict(p) for p in _halton_set(box, trials, seed)[0]]
 
 
+def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
+    """evaluate(e, point) at each of n points, in order, as a list or an
+    iterator; cols holds the points' coordinates, one float array of
+    length n per name.
+
+    One array pass makes the list, and its values equal the scalar
+    evaluation bit for bit.  If the pass trips a guard, the iterator walks
+    the points one at a time instead, each a fresh dict of Python floats
+    taken from cols in its key order: the values before the first bad
+    point still come out, and that point raises the error a scalar
+    evaluation there raises.
+    """
+    try:
+        return np.broadcast_to(_evaluate(e, cols, _libm_pow), (n,)).tolist()
+    except ArithmeticError:
+        # a guard, a variable cols lacks, or OverflowError from a libm power
+        names = list(cols)
+        rows = [cols[k].tolist() for k in names]
+        return (evaluate(e, dict(zip(names, [r[i] for r in rows])))
+                for i in range(n))
+
+
 def sample_values(e: Expression, box: Mapping[str, tuple], *,
                   trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """Yield (point, value) at the Halton points of the box, in trial order.
@@ -602,20 +624,14 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
         raise ValueError(f"trials must be at least 1, got {trials}")
     points, cols = _halton_set(box, trials, seed)
     try:
-        vals = np.broadcast_to(_evaluate(e, cols, _libm_pow),
-                               (len(points),)).tolist()
+        for p, v in zip(points, _point_values(e, cols, len(points))):
+            yield dict(p), v
     except ArithmeticError:
-        # a guard, a variable the box lacks, or OverflowError from a libm power
         missing = free_vars(e) - set(box)
         if missing:
             raise ValueError(f"box is missing variables: {sorted(missing)}") \
                 from None
-        for p in points:
-            pt = dict(p)
-            yield pt, evaluate(e, pt)
-        return
-    for p, v in zip(points, vals):
-        yield dict(p), v
+        raise
 
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,

@@ -141,10 +141,11 @@ class _Tensor:
     `_Tensor(...)`, `AlgebroidForm(...)`) takes caller input: keys of indices
     or names in any order, values of any ExprLike.  It sorts each key, folds
     in the permutation sign and sums the values that land on one key.
-    geometry's own operations build their output under the invariant
-    already (keys from `_merge_indices`, `_right_deriv` or sorted by
-    construction, values from the smart constructors), so they go through
-    `_tensor` / `_new`, which only drop exact zeros.  On such data the public
+    geometry's own operations, `algebroid.algebroid_d` and
+    `jacobi.poissonize` build their output under the invariant already
+    (keys from `_merge_indices`, `_right_deriv` or sorted by construction,
+    values from the smart constructors), so they go through `_tensor` /
+    `_new`, which only drop exact zeros.  On such data the public
     constructor changes nothing, dict order included."""
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping = None):

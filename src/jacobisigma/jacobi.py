@@ -259,7 +259,9 @@ def poissonize(J: JacobiPair, s_name: str = "s",
         comps[key] = ex.div(val, s)
     for (i,), val in J.e.comps.items():
         comps[(i, s_idx)] = ex.neg(val)     # E^i d/ds ^ d/dx^i
-    return HomogeneousPoisson(chart, mvf(chart, 2, comps), s_name, source=J)
+    # increasing keys (s is the last coordinate), smart-constructor values
+    return HomogeneousPoisson(chart, geo._tensor(MultivectorField, chart, 2,
+                                                 comps), s_name, source=J)
 
 
 # ----- pointwise maps between the jet and derivation pictures -----

@@ -23,7 +23,11 @@ and substitutes Expressions, so exact configurations get exact residual
 forms.  The grid one takes np.gradient stencils (edge_order=2) and
 evaluates each coefficient once on the node arrays; a path is the same
 grid backend over the u nodes alone, and its transport equations are the
-u-components of the first two rows below.
+u-components of the first two rows below.  Field expressions are sampled
+on the open (u, t) mesh, u as a column and t as a row, so a subtree in one
+of them is evaluated on that direction's nodes alone; broadcasting gives
+every element the same IEEE operation on the same inputs as the full mesh
+would, so no sampled value moves.
 
 Sign conventions follow the rest of the package: the homogeneous
 stationarity system is
@@ -65,6 +69,12 @@ BUILTIN_EXAMPLES = ("contact-k", "moebius", "almost-poisson-family1",
 
 # --------------------------------------------------------------- grids
 
+def _check_t_extent(t_extent: float):
+    if not (math.isfinite(t_extent) and t_extent > 0):
+        raise ValueError(f"t_extent must be finite and greater than 0, "
+                         f"got {t_extent}")
+
+
 @dataclass(frozen=True)
 class SurfaceGrid:
     """Uniform tensor grid on [0,1] x [-t_extent, t_extent]."""
@@ -75,6 +85,7 @@ class SurfaceGrid:
     def __post_init__(self):
         if self.nu < 3 or self.nt < 3:
             raise ValueError("grid needs at least 3 nodes per direction")
+        _check_t_extent(self.t_extent)
 
     @property
     def u_nodes(self):
@@ -97,6 +108,7 @@ class SurfaceGrid:
 
 
 def source_chart(t_extent: float = 1.0) -> Chart:
+    _check_t_extent(t_extent)
     return Chart(("u", "t"), {"u": (0.0, 1.0), "t": (-t_extent, t_extent)})
 
 
@@ -164,9 +176,19 @@ class DiscreteFieldConfiguration:
 
 
 def _grid_eval(e, grid: SurfaceGrid) -> np.ndarray:
-    U, T = grid.mesh()
-    v = ex.evaluate(ex.coerce(e), {"u": U, "t": T})
-    return np.broadcast_to(np.asarray(v, float), U.shape).copy()
+    """e at the grid nodes, shaped (nu, nt), equal to its evaluation on the
+    full mesh() arrays bit for bit.
+
+    u goes in as an (nu, 1) column and t as a (1, nt) row, so a subtree in
+    u alone costs nu values and one in t alone nt; numpy broadcasting makes
+    full-size arrays only where u and t meet, and the result is broadcast
+    to (nu, nt) once.  No bit moves: each element still goes through the
+    same IEEE operation on the same inputs, and each guard tests the same
+    set of values.
+    """
+    v = ex.evaluate(ex.coerce(e), {"u": grid.u_nodes[:, None],
+                                   "t": grid.t_nodes[None, :]})
+    return np.broadcast_to(np.asarray(v, float), (grid.nu, grid.nt)).copy()
 
 
 def sample_config(F: FieldConfiguration, grid: SurfaceGrid
@@ -589,7 +611,12 @@ def scale_ode_rk4(structure, x: dict, eta: dict, *, s0: float = 1.0,
                   n: int = 512) -> float:
     """RK4 integration of ds/du = s E^j(x(u)) eta_j(u); returns s(1).
 
-    Needs symbolic path entries (the integrand is evaluated off-grid)."""
+    Needs symbolic path entries (the integrand is evaluated off-grid).  The
+    integrand is evaluated once per distinct node, in one array pass: the
+    step starts u_i (u_0 = 0, u_{i+1} = u_i + h), the midpoints u_i + h/2,
+    which k2 and k3 share, and u_n; k4 of a step is k1 of the next.  The
+    2n + 1 values equal scalar evaluations bit for bit, and a guard that
+    trips raises at the first bad node in step order."""
     J = _as_pair(structure)
     tn = J.chart.names
     acc = ex.ZERO
@@ -599,16 +626,21 @@ def scale_ode_rk4(structure, x: dict, eta: dict, *, s0: float = 1.0,
             continue
         comp = ex.substitute(v, {m: ex.coerce(x[m]) for m in tn if m in x})
         acc = acc + ex.coerce(comp) * ex.coerce(eta[nm])
-    g = lambda uu: float(ex.evaluate(acc, {"u": uu}))
     h = 1.0 / n
-    s, uu = float(s0), 0.0
+    nodes, uu = [], 0.0
     for _ in range(n):
-        k1 = s * g(uu)
-        k2 = (s + 0.5 * h * k1) * g(uu + 0.5 * h)
-        k3 = (s + 0.5 * h * k2) * g(uu + 0.5 * h)
-        k4 = (s + h * k3) * g(uu + h)
-        s += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        nodes += [uu, uu + 0.5 * h]
         uu += h
+    nodes.append(uu)
+    g = list(ex._point_values(acc, {"u": np.array(nodes)}, len(nodes)))
+    s = float(s0)
+    for i in range(n):
+        g0, gm, g1 = g[2 * i:2 * i + 3]
+        k1 = s * g0
+        k2 = (s + 0.5 * h * k1) * gm
+        k3 = (s + 0.5 * h * k2) * gm
+        k4 = (s + h * k3) * g1
+        s += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return s
 
 

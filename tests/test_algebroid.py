@@ -1,6 +1,8 @@
 """Tests for linear-bivector <-> algebroid conversions, the frame-level
 differential, and morphism checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,23 @@ def test_d_of_top_degree_vanishes():
     assert not alg.algebroid_d(A, top).comps
     with pytest.raises(ValueError):
         alg.algebroid_d(A, alg.aform(A, 4, {}))
+
+
+def test_d_output_is_unchanged_by_the_public_constructor():
+    """algebroid_d builds its form through the trusted path: rebuilding it
+    through AlgebroidForm(...) changes no component and no order."""
+    rng = np.random.default_rng(RNG_SEED)
+    for seed in range(6):
+        A = rand_algebroid(seed)
+        for deg in range(A.rank + 1):
+            w = alg.aform(A, deg, {
+                key: rand_poly(rng, A.base.names)
+                for key in itertools.combinations(range(A.rank), deg)})
+            dw = alg.algebroid_d(A, w)
+            for dw in (dw, alg.algebroid_d(A, dw)) if deg < A.rank else (dw,):
+                again = alg.AlgebroidForm(A, dw.degree, dw.comps)
+                assert list(again.comps.items()) == list(dw.comps.items())
+                assert dw.alg is A
 
 
 def test_d_squared_verdicts():

@@ -68,6 +68,15 @@ def test_check_bad_inputs_exit_2(tmp_path):
     assert err.strip()
 
 
+def _contact_field(field_line="", x0=None):
+    """The shipped contact field file, with one more [field] line and
+    another x0 map."""
+    text = (ROOT / "fields/contact-k1-solution.ini").read_text()
+    text = text.replace("[field]\n", f"[field]\n{field_line}\n")
+    return text if x0 is None else text.replace("x0 = sin(u)*cos(t)",
+                                                f"x0 = {x0}")
+
+
 BAD_INPUTS = {
     "gen_weights": ("check", "[structure]\nkind = algebroid\n\n[chart]\n"
                     "names = x\n\n[generators]\nnames = a\n\n"
@@ -90,7 +99,34 @@ BAD_INPUTS = {
                 "--tol", "nan"),
     "tol_inf": ("example", "contact-k", "--tol", "inf"),
     "tol_negative": ("example", "contact-k", "--tol=-0.5"),
+    # a degenerate or reversed surface, and a field singular on a grid node
+    # (the grid includes u = 0), on the grid verify and the grid action
+    "t_extent_0": ("verify", _contact_field("t_extent = 0"), "--grid", "9x9"),
+    "t_extent_negative": ("verify", _contact_field("t_extent = -1")),
+    "t_extent_nan": ("verify", _contact_field("t_extent = nan")),
+    "t_extent_inf": ("verify", _contact_field("t_extent = inf")),
+    "singular_on_grid": ("verify", _contact_field(x0="log(u)/1000"),
+                         "--grid", "33x33"),
+    "singular_in_grid_action": ("verify", _contact_field(x0="log(u)/1000"),
+                                "--variant", "constrained"),
 }
+
+
+def test_constrained_action_covers_the_fields_surface(tmp_path):
+    """Without --grid the action's default 65x65 grid spans the field's own
+    t range, as a --grid 65x65 one does."""
+    field = tmp_path / "t2.ini"
+    field.write_text(_contact_field("t_extent = 2\nvariant = constrained",
+                                    x0="u*t").replace(
+                                        "variant = homogeneous\n", ""))
+    values = []
+    for flags in ([], ["--grid", "65x65"]):
+        rep = tmp_path / "rep.json"
+        code, out, err = run("verify", fixture("structures/contact-k1.ini"),
+                             str(field), *flags, "--json", str(rep))
+        assert code == 0, out + err
+        values.append(json.loads(rep.read_text())["checks"]["action"]["value"])
+    assert values[0] == values[1]
 
 
 def _bad_argv(tmp_path, case):

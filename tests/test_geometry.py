@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacobisigma import expr as ex
 from jacobisigma import geometry as geo
+from jacobisigma import jacobi as jac
 from jacobisigma.geometry import Chart, SmoothMap
 
 CH3 = Chart(("x", "y", "z"))
@@ -389,7 +390,7 @@ def test_public_constructor_is_a_no_op_on_operation_results(data):
                P.scale(c), w.scale(-1), P + P.scale(2), w + fm(r), w - w,
                geo.tangent_lift(P), geo.pullback(w, fwd),
                geo.pushforward(P, fwd, inv), geo.push_scale(P),
-               geo.push_scale(w)]
+               geo.push_scale(w), jac.poissonize(jac.JacobiPair(ch, B, X)).pi]
     for T in results:
         assert _as_built_by_public_constructor(T) == list(T.comps.items())
         assert all(len(k) == T.degree and list(k) == sorted(set(k))
