@@ -116,14 +116,13 @@ def test_constrained_action_covers_the_fields_surface(tmp_path):
     """Without --grid the action's default 65x65 grid spans the field's own
     t range, as a --grid 65x65 one does."""
     field = tmp_path / "t2.ini"
-    field.write_text(_contact_field("t_extent = 2\nvariant = constrained",
-                                    x0="u*t").replace(
-                                        "variant = homogeneous\n", ""))
+    field.write_text(_contact_field("t_extent = 2", x0="u*t"))
     values = []
     for flags in ([], ["--grid", "65x65"]):
         rep = tmp_path / "rep.json"
         code, out, err = run("verify", fixture("structures/contact-k1.ini"),
-                             str(field), *flags, "--json", str(rep))
+                             str(field), "--variant", "constrained", *flags,
+                             "--json", str(rep))
         assert code == 0, out + err
         values.append(json.loads(rep.read_text())["checks"]["action"]["value"])
     assert values[0] == values[1]
