@@ -20,18 +20,25 @@ import argparse
 import configparser
 import json
 import math
+import os
 import re
 import sys
 import time
 from pathlib import Path
 
-from . import expr as ex
-from . import geometry as geo
-from . import jacobi as jac
-from . import algebroid as alg
-from . import sigma as sg
-from .geometry import Chart, SmoothMap
-from .jacobi import JacobiPair, HomogeneousPoisson, LineBundleAtlas, Overlap
+# jsm calls no BLAS routine, but numpy's import starts OpenBLAS's thread
+# pool, whose idle workers spin on the CPU; one thread starts none.  This
+# must run before numpy is first imported, and a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import expr as ex  # noqa: E402
+from . import geometry as geo  # noqa: E402
+from . import jacobi as jac  # noqa: E402
+from . import algebroid as alg  # noqa: E402
+from . import sigma as sg  # noqa: E402
+from .geometry import Chart, SmoothMap  # noqa: E402
+from .jacobi import (JacobiPair, HomogeneousPoisson,  # noqa: E402
+                     LineBundleAtlas, Overlap)
 
 STRUCTURE_KINDS = ("jacobi", "poisson", "algebroid", "atlas")
 
@@ -616,6 +623,8 @@ def cmd_verify(args, kw):
                                            variant=variant, **kw)
                 except ex.EvaluationError as err:
                     raise InputError(_grid_error(grid, err)) from err
+                except ValueError as err:
+                    raise InputError(str(err)) from err
                 # finite-difference norms are informational (no verdict)
                 checks["el_residual_grid"] = {
                     "norms": {k: float(v) for k, v in rep_d.norms.items()},
@@ -775,6 +784,17 @@ def _check_settings(args):
                          f"got {args.tol}")
 
 
+def _guard_message(err: ex.EvaluationError) -> str:
+    """An input expression tripped an evaluation guard at a sample point:
+    name the guard and the point."""
+    msg = f"an input cannot be evaluated: {err}"
+    point = err.point or {}
+    if point and all(isinstance(v, (int, float)) for v in point.values()):
+        msg += " at the sample point " + ", ".join(
+            f"{k} = {v!r}" for k, v in point.items())
+    return msg
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     kw = dict(tol=args.tol, trials=args.trials, seed=args.seed)
@@ -784,6 +804,9 @@ def main(argv=None) -> int:
         body, ok = _DISPATCH[args.cmd](args, kw)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ex.EvaluationError as err:
+        print(f"error: {_guard_message(err)}", file=sys.stderr)
         return 2
     seconds = time.perf_counter() - t0
     report = {"command": args.cmd, "ok": bool(ok),

@@ -281,9 +281,17 @@ def _grid_fields(x, s, p, z, u: np.ndarray, t: np.ndarray = None) -> _Fields:
     @functools.cache
     def at(e):
         return np.broadcast_to(np.asarray(ex.evaluate(e, x), float), shape)
-    return _Fields(lambda a: np.gradient(a, u, axis=0, edge_order=2),
-                   lambda a: np.gradient(a, t, axis=1, edge_order=2),
+    return _Fields(lambda a: _stencil(a, u, 0), lambda a: _stencil(a, t, 1),
                    at, x, s, p, z)
+
+
+def _stencil(a: np.ndarray, nodes: np.ndarray, axis: int) -> np.ndarray:
+    """np.gradient(a, nodes, axis=axis, edge_order=2), skipped when a is all
+    zero (a missing pi component, a zero base map): the stencil is zero
+    there, up to the sign of a zero, which no norm reads."""
+    if not a.any():
+        return np.zeros_like(a)
+    return np.gradient(a, nodes, axis=axis, edge_order=2)
 
 
 def _sampled_fields(J: JacobiPair, D: DiscreteFieldConfiguration) -> _Fields:
@@ -465,7 +473,9 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
 
     Symbolic configurations give exact residual forms plus a sampled
     verdict; discrete configurations give finite-difference residual
-    arrays (np.gradient, edge_order=2) and their max norms.
+    arrays (np.gradient, edge_order=2) and their max norms.  Raises
+    ValueError where the scale field drops below S_FLOOR, at a sample
+    point or at a grid node.
     """
     if variant not in ("homogeneous", "reduced"):
         raise ValueError("el_residual covers the homogeneous and reduced "
@@ -489,6 +499,8 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
         dev = max([0.0] + list(norms.values()))
         return ELReport("symbolic", variant, dev <= tol, dev, norms, res)
     if isinstance(F, DiscreteFieldConfiguration):
+        if D_s_min(F) < S_FLOOR:
+            raise ValueError("scale field drops below 1e-06 on the grid")
         one, two = _stationarity(J, _sampled_fields(J, F), variant)
         res = {k: np.stack(r) for k, r in one.items()} | two
         norms = {k: float(np.max(np.abs(v))) for k, v in res.items()}

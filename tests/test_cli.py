@@ -109,6 +109,20 @@ BAD_INPUTS = {
                          "--grid", "33x33"),
     "singular_in_grid_action": ("verify", _contact_field(x0="log(u)/1000"),
                                 "--variant", "constrained"),
+    # a guard that trips at a sample point of a symbolic check, in a field
+    # (log of u - 1/2 < 0) and in a structure (log of x < 0)
+    "singular_at_sample_point": ("verify", _contact_field().replace(
+        "x2 = 0", "x2 = log(u - 1/2)")),
+    "singular_in_structure": ("check", (ROOT / "structures/almost-poisson.ini")
+                              .read_text().replace("x, z = x", "x, z = log(x)")),
+    "constant_singular_in_structure": (
+        "check", (ROOT / "structures/almost-poisson.ini").read_text()
+        .replace("x, z = x", "x, z = log(0 - 1)")),
+    # a scale field that is exactly 0 on the grid nodes u = 1/2
+    "scale_zero_on_grid": ("verify", _contact_field().replace(
+        "value = exp(u/4 + t/2)", "value = u - 1/2").replace(
+        "x0, u = -exp(u/4 + t/2)/4", "x0, u = -1").replace(
+        "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0"), "--grid", "33x33"),
 }
 
 
@@ -160,7 +174,10 @@ def test_duplicate_chart_rejected_under_python_O(tmp_path):
 
 @pytest.mark.parametrize("case, message", [
     ("poissonize_s_taken", "already a chart coordinate"),
-    ("scale_interval_has_0", "must exclude 0")])
+    ("scale_interval_has_0", "must exclude 0"),
+    ("singular_at_sample_point", "at the sample point t ="),
+    ("singular_in_structure", "at the sample point x ="),
+    ("scale_zero_on_grid", "scale field drops below")])
 def test_homogeneous_poisson_input_rejected_under_python_O(tmp_path, case,
                                                             message):
     out = subprocess.run([sys.executable, "-O", "-m", "jacobisigma.cli",
@@ -344,3 +361,35 @@ def test_cli_import_leaves_scipy_out():
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def _python(code, **env):
+    """Run code in a fresh interpreter that imports ./src and has no
+    OPENBLAS_NUM_THREADS unless given one; its stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
+                         env=dict(base, PYTHONPATH=str(ROOT / "src"), **env),
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    code = ("import os, jacobisigma.cli; "
+            "n = (len(os.listdir('/proc/self/task')) "
+            "if os.path.isdir('/proc/self/task') else None); "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], n)")
+    value, threads = _python(code).split()
+    assert value == "1"
+    if threads != "None":
+        assert threads == "1"
+
+
+def test_cli_import_keeps_the_callers_openblas_setting():
+    code = "import os, jacobisigma.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_library_import_leaves_openblas_setting_alone():
+    code = ("import os, jacobisigma.sigma; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _python(code) == "None"

@@ -99,6 +99,35 @@ def test_degenerate_surfaces_are_rejected(t_extent):
         sg.source_chart(t_extent)
 
 
+# ------------------------------------------ the finite-difference stencil
+
+def _signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng, shape: rng.standard_normal(shape),
+    lambda rng, shape: np.zeros(shape),
+    _signed_zeros,
+    lambda rng, shape: np.broadcast_to(np.zeros(shape[1]), shape),
+    lambda rng, shape: np.where(rng.random(shape) < 0.9,
+                                _signed_zeros(rng, shape),
+                                rng.standard_normal(shape))])
+@pytest.mark.parametrize("nu, nt", [(3, 3), (9, 5), (33, 17)])
+def test_grid_stencils_equal_np_gradient(make, nu, nt):
+    """The grid backend's du/dt skip the stencil on all-zero arrays and equal
+    np.gradient under == everywhere (a zero's sign may differ)."""
+    grid = sg.SurfaceGrid(nu, nt, 1.5)
+    f = sg._grid_fields({}, None, {}, (), grid.u_nodes, grid.t_nodes)
+    a = make(np.random.default_rng(nu * nt), (nu, nt))
+    for got, want in ((f.du(a), np.gradient(a, grid.u_nodes, axis=0,
+                                            edge_order=2)),
+                      (f.dt(a), np.gradient(a, grid.t_nodes, axis=1,
+                                            edge_order=2))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # ------------------------------------------------- RK4 scale transport
 
 def _rk4_reference(structure, x, eta, *, s0=1.0, n=512):

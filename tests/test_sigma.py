@@ -283,6 +283,21 @@ def test_el_residual_scale_guard_samples_the_callers_points():
         sg.el_residual(J, F, trials=4, seed=12345)
 
 
+def test_discrete_el_residual_rejects_a_scale_zero_on_a_node():
+    # u = 1/2 is a node of a 33-point grid, so s is exactly 0 there; the
+    # residual would divide by it and report NaN norms
+    J = sg.contact_pair(1)
+    F = dataclasses.replace(generic_config(), s=ex.sub(U, ex.num("1/2")))
+    D = sg.sample_config(F, sg.SurfaceGrid(33, 33))
+    assert sg.D_s_min(D) == 0.0
+    with pytest.raises(ValueError, match="scale field drops below"):
+        sg.el_residual(J, D, **KW)
+    # off the nodes the same scale is far enough from 0
+    D = sg.sample_config(F, sg.SurfaceGrid(32, 32))
+    rep = sg.el_residual(J, D, **KW)
+    assert all(math.isfinite(v) for v in rep.norms.values())
+
+
 def test_discrete_residuals_converge():
     J = sg.contact_pair(1)
     F = sg.contact_solution(1)
