@@ -13,14 +13,20 @@ prints:
   the reduced variant): the exit code and the sha256 of the `--json` report;
 * one line per run of the grid scripts (`convergence_study.py` in both
   variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
-  covers: the sha256 of what the script prints.
+  covers: the sha256 of what the script prints;
+* with --trees, for the ops among the first K that carry a Jacobi pair,
+  one line per op kind: the op count and a sha256 over the `repr` of the
+  trees the program builds from the pair (its `_jacobiators`, the
+  Schouten residuals of `jacobi_check` and the components of
+  `poissonize(J).pi`, each tensor in its component order).  Verdicts can
+  agree while trees differ; these lines show whether the trees do.
 
 The program is imported from this checkout's `src/`, whatever PYTHONPATH
 says; `perfbench/` is used read-only.
 
 Usage:
     python scripts/verdict_digests.py [--workload verdict_symbolic]
-                                      [--seed 5] [--ops 300]
+                                      [--seed 5] [--ops 300] [--trees]
 """
 
 import argparse
@@ -40,6 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 import ops as O  # noqa: E402
 from jacobisigma import cli  # noqa: E402
+from jacobisigma import jacobi as jac  # noqa: E402
 from jacobisigma import sigma as sg  # noqa: E402
 
 WORKLOADS = ("verdict_symbolic", "verdict_sampled", "grid_fd")
@@ -64,22 +71,51 @@ def cli_cases():
     return cases
 
 
-def op_digests(workload, seed, count, tmp):
-    """{kind: (ops, sha256)} over the first `count` ops of the pool."""
+def _pool(workload, seed, count, tmp):
+    """The first `count` ops of the pool of (workload, seed)."""
     gen.generate(workload, seed, tmp)
-    ctx = O.make_ctx(workload)
-    lines = OrderedDict()
     with open(Path(tmp) / "ops.jsonl") as fh:
-        for _, text in zip(range(count), fh):
-            op = json.loads(text)
-            try:
-                verdict, payload = O.summarize(op, O.prepare(op, ctx)())
-                line = f"{op['i']} {verdict!r} {O.digest(payload)}"
-            except Exception as exc:   # a raising op is part of the output
-                line = f"{op['i']} raised {type(exc).__name__}: {exc}"
-            lines.setdefault(op["kind"], []).append(line)
+        return [json.loads(text) for _, text in zip(range(count), fh)]
+
+
+def _by_kind(pool, line):
+    """{kind: (ops, sha256)} over line(op) for each op of the pool with a
+    line; an op that raises contributes the error it raised."""
+    lines = OrderedDict()
+    for op in pool:
+        try:
+            text = line(op)
+        except Exception as exc:   # a raising op is part of the output
+            text = f"raised {type(exc).__name__}: {exc}"
+        if text is not None:
+            lines.setdefault(op["kind"], []).append(f"{op['i']} {text}")
     return {kind: (len(ls), hashlib.sha256("\n".join(ls).encode()).hexdigest())
             for kind, ls in lines.items()}
+
+
+def op_digests(workload, pool):
+    """{kind: (ops, sha256)} over the verdicts and payloads of the ops."""
+    ctx = O.make_ctx(workload)
+
+    def line(op):
+        verdict, payload = O.summarize(op, O.prepare(op, ctx)())
+        return f"{verdict!r} {O.digest(payload)}"
+    return _by_kind(pool, line)
+
+
+def tree_digests(pool):
+    """{kind: (ops, sha256)} over the trees built from the Jacobi pair of
+    each op that has one."""
+    def line(op):
+        if "lam" not in op:
+            return None
+        J = O._pair(op)
+        rep = jac.jacobi_check(J, seed=op["sseed"])
+        return repr((list(jac._jacobiators(J)),
+                     list(rep.res_e_lam.comps.items()),
+                     list(rep.res_lam_lam.comps.items()),
+                     list(jac.poissonize(J).pi.comps.items())))
+    return _by_kind(pool, line)
 
 
 def report_digest(argv, tmp):
@@ -112,13 +148,20 @@ def main():
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--ops", type=int, default=300,
                     help="digest the first K ops of the pool")
+    ap.add_argument("--trees", action="store_true",
+                    help="also digest the trees built from each op's "
+                         "Jacobi pair")
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         print(f"# {args.workload} seed {args.seed}, first {args.ops} ops")
-        for kind, (n, digest) in op_digests(args.workload, args.seed,
-                                            args.ops, tmp).items():
+        pool = _pool(args.workload, args.seed, args.ops, tmp)
+        for kind, (n, digest) in op_digests(args.workload, pool).items():
             print(f"{kind:<28} {n:>4}  {digest}")
+        if args.trees:
+            print("# trees of the Jacobi pairs: ops, sha256")
+            for kind, (n, digest) in tree_digests(pool).items():
+                print(f"{kind:<28} {n:>4}  {digest}")
         print("# CLI --json reports: exit code, sha256")
         for label, argv in cli_cases():
             code, digest = report_digest(argv, tmp)

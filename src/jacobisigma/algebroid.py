@@ -100,7 +100,7 @@ class AlgebroidStructure:
     @cached_property
     def gen_chart(self) -> Chart:
         """The generator names as a chart: the key space of AlgebroidForm."""
-        return Chart(self.generators)
+        return Chart.of_labels(self.generators)
 
     def gen_index(self, g: str) -> int:
         return self.generators.index(g)

@@ -193,7 +193,8 @@ PI = Pi()
 
 
 def var(name: str) -> Var:
-    assert name not in _RESERVED, name
+    if name in _RESERVED:
+        raise ValueError(f"'{name}' is a reserved name, not a variable")
     return Var(name)
 
 
@@ -361,15 +362,20 @@ def differentiate(e: Expression, name: str) -> Expression:
         return ONE if e.name == name else ZERO
     if isinstance(e, Add):
         return add(*[differentiate(t, name) for t in e.terms])
+    # an exact-zero derivative makes an exact-zero term, which add drops:
+    # such terms are not built
     if isinstance(e, Mul):
         parts = []
         for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(differentiate(f, name), *rest))
-        return add(*parts)
+            df = differentiate(f, name)
+            if not is_exact_zero(df):
+                parts.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
+        return add(*parts) if parts else ZERO
     if isinstance(e, Pow):
-        return mul(num(e.exponent), pow_(e.base, e.exponent - 1),
-                   differentiate(e.base, name))
+        db = differentiate(e.base, name)
+        if is_exact_zero(db):
+            return ZERO
+        return mul(num(e.exponent), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, Div):
         da, db = differentiate(e.num, name), differentiate(e.den, name)
         return div(sub(mul(da, e.den), mul(e.num, db)), pow_(e.den, 2))

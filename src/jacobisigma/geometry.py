@@ -48,10 +48,26 @@ class Chart:
         self.names = tuple(self.names)
         if len(set(self.names)) != len(self.names):
             raise ChartError(f"duplicate coordinate in {self.names}")
+        for n in self.names:
+            # a coordinate is a variable, and these names parse as pi and
+            # the four functions
+            if n in ex._RESERVED:
+                raise ChartError(f"coordinate '{n}' is a reserved name "
+                                 f"(pi, sin, cos, exp, log)")
         for what, table in (("box", self.box), ("weight", self.weights)):
             for n in table:
                 if n not in self.names:
                     raise ChartError(f"{what} for unknown coordinate '{n}'")
+
+    @classmethod
+    def of_labels(cls, names) -> "Chart":
+        """A chart of labels that never become variables (the generators of
+        an algebroid, which only key its forms): reserved names are allowed."""
+        ch = cls(())
+        ch.names = tuple(names)
+        if len(set(ch.names)) != len(ch.names):
+            raise ChartError(f"duplicate label in {ch.names}")
+        return ch
 
     @property
     def dim(self):
@@ -238,8 +254,11 @@ def _table_product(t1: dict, t2: dict) -> dict:
             if m is None:
                 continue
             sign, key = m
-            out[key] = ex.add(out.get(key, ex.ZERO),
-                              ex.mul(_sign(sign), f, g))
+            # the slot is taken even for an exact-zero product, which is not
+            # built, so the order of the output does not depend on it
+            cur = out.setdefault(key, ex.ZERO)
+            if not (ex.is_exact_zero(f) or ex.is_exact_zero(g)):
+                out[key] = ex.add(cur, ex.mul(_sign(sign), f, g))
     return out
 
 
@@ -469,9 +488,13 @@ def vector_apply(X: MultivectorField, f) -> Expression:
 
 
 def _apply_partials(X: MultivectorField, df) -> Expression:
-    """X(f) = sum X^n df(n), with df(name) the partial derivative of f."""
-    parts = [ex.mul(val, df(X.chart.names[key[0]]))
-             for key, val in X.comps.items()]
+    """X(f) = sum X^n df(n), with df(name) the partial derivative of f;
+    a term with an exact-zero partial is not built."""
+    parts = []
+    for key, val in X.comps.items():
+        d = df(X.chart.names[key[0]])
+        if not ex.is_exact_zero(d):
+            parts.append(ex.mul(val, d))
     return ex.add(*parts) if parts else ex.ZERO
 
 

@@ -88,9 +88,13 @@ def _bracket(J: JacobiPair, f: Expression, f_slot, g: Expression,
     """{f, g} from f_slot = _first_slot(J, f) and dg(name), the partial
     derivative of g."""
     sharp_df, e_f = f_slot
-    return ex.add(geo._apply_partials(sharp_df, dg),
-                  ex.mul(f, geo._apply_partials(J.e, dg)),
-                  ex.neg(ex.mul(g, e_f)))
+    terms = [geo._apply_partials(sharp_df, dg)]
+    e_g = geo._apply_partials(J.e, dg)
+    if not ex.is_exact_zero(e_g):
+        terms.append(ex.mul(f, e_g))
+    if not ex.is_exact_zero(e_f):
+        terms.append(ex.neg(ex.mul(g, e_f)))
+    return ex.add(*terms)
 
 
 def jacobiator(J: JacobiPair, f, g, h) -> Expression:
@@ -117,8 +121,9 @@ def _jacobiators(J: JacobiPair):
 
     The parts that triples share are built once per call: the bracket of
     each ordered probe pair ({h, f} as bracket(h, f), never as -{f, h}, so
-    the trees match), each partial derivative of a pair bracket, and the
-    _first_slot of each probe for the outer brackets."""
+    the trees match), its free variables, each partial derivative of a pair
+    bracket (the exact zero, unbuilt, for a coordinate it does not depend
+    on), and the _first_slot of each probe for the outer brackets."""
     names, fns = zip(*_jacobiator_probes(J))
     slots = [_first_slot(J, f) for f in fns]
 
@@ -129,7 +134,13 @@ def _jacobiators(J: JacobiPair):
         return bracket(J, fns[i], fns[j])
 
     @cache
+    def free(i, j):              # the coordinates {f_i, f_j} depends on
+        return ex.free_vars(pair(i, j))
+
+    @cache
     def partial(i, j, name):     # d{f_i, f_j} / d name
+        if name not in free(i, j):
+            return ex.ZERO
         return ex.differentiate(pair(i, j), name)
 
     def outer(a, i, j):          # {f_a, {f_i, f_j}}

@@ -439,11 +439,15 @@ def D_s_min(D: DiscreteFieldConfiguration) -> float:
 def _s_min_symbolic(F: FieldConfiguration, *,
                     trials: int = ex.DEFAULT_TRIALS,
                     seed: int = ex.DEFAULT_SEED) -> float:
-    best = math.inf
-    for _, v in ex.sample_values(F.s, F.chart.sample_box(),
-                                 trials=trials, seed=seed):
-        best = min(best, abs(v))
-    return best
+    """min |s| over the sample points of the chart box.  Raises ValueError
+    when s takes both signs there: a continuous s on the connected box
+    then vanishes between two of them."""
+    vals = [v for _, v in ex.sample_values(F.s, F.chart.sample_box(),
+                                           trials=trials, seed=seed)]
+    if min(vals) < 0 < max(vals):
+        raise ValueError("scale field drops below 1e-06 on the chart box: "
+                         "it changes sign there")
+    return min(abs(v) for v in vals)
 
 
 # --------------------------------------------------- stationarity system
@@ -475,7 +479,7 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
     verdict; discrete configurations give finite-difference residual
     arrays (np.gradient, edge_order=2) and their max norms.  Raises
     ValueError where the scale field drops below S_FLOOR, at a sample
-    point or at a grid node.
+    point or at a grid node, or takes both signs at the sample points.
     """
     if variant not in ("homogeneous", "reduced"):
         raise ValueError("el_residual covers the homogeneous and reduced "

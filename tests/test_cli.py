@@ -123,6 +123,16 @@ BAD_INPUTS = {
         "value = exp(u/4 + t/2)", "value = u - 1/2").replace(
         "x0, u = -exp(u/4 + t/2)/4", "x0, u = -1").replace(
         "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0"), "--grid", "33x33"),
+    # the same field without a grid: 0 at no sample point, but it takes
+    # both signs on the surface
+    "scale_changes_sign": ("verify", _contact_field().replace(
+        "value = exp(u/4 + t/2)", "value = u - 1/2").replace(
+        "x0, u = -exp(u/4 + t/2)/4", "x0, u = -1").replace(
+        "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0")),
+    # a chart coordinate named after the constant pi
+    "coordinate_named_pi": ("check", "[structure]\nkind = jacobi\n\n"
+                            "[chart]\nnames = x, y, pi\n\n"
+                            "[pi]\nx, y = 1\nx, pi = x\n"),
 }
 
 
@@ -177,7 +187,9 @@ def test_duplicate_chart_rejected_under_python_O(tmp_path):
     ("scale_interval_has_0", "must exclude 0"),
     ("singular_at_sample_point", "at the sample point t ="),
     ("singular_in_structure", "at the sample point x ="),
-    ("scale_zero_on_grid", "scale field drops below")])
+    ("scale_zero_on_grid", "scale field drops below"),
+    ("scale_changes_sign", "changes sign"),
+    ("coordinate_named_pi", "reserved name")])
 def test_homogeneous_poisson_input_rejected_under_python_O(tmp_path, case,
                                                             message):
     out = subprocess.run([sys.executable, "-O", "-m", "jacobisigma.cli",

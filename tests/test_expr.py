@@ -385,3 +385,9 @@ fold_args = st.lists(st.one_of(fold_atoms, fold_nests), max_size=6)
 def test_add_and_mul_fold_constants_like_sequential_fractions(args):
     assert ex.add(*args) == _reference_fold(args, ex.Add, 0, operator.add)
     assert ex.mul(*args) == _reference_fold(args, ex.Mul, 1, operator.mul)
+
+
+@pytest.mark.parametrize("name", ["pi", "sin", "cos", "exp", "log"])
+def test_var_rejects_reserved_names(name):
+    with pytest.raises(ValueError, match="reserved name"):
+        ex.var(name)

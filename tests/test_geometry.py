@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobisigma import algebroid as alg
 from jacobisigma import expr as ex
 from jacobisigma import geometry as geo
 from jacobisigma import jacobi as jac
@@ -58,6 +59,24 @@ def test_repeated_index_rejected():
 def test_chart_rejects_duplicates():
     with pytest.raises(AssertionError):
         Chart(("x", "x"))
+
+
+@pytest.mark.parametrize("name", ["pi", "sin", "cos", "exp", "log"])
+def test_chart_rejects_reserved_names(name):
+    # the parser reads these as the constant and the functions, never as
+    # the coordinate
+    with pytest.raises(geo.ChartError, match="reserved name"):
+        Chart(("x", name))
+
+
+def test_label_charts_allow_reserved_names():
+    # algebroid generators only key forms, so 'exp' may name one
+    A = alg.AlgebroidStructure.build(Chart(("x",)), ("a", "exp"),
+                                     {"exp": {"x": 1}}, {("a", "exp"): {"a": 1}})
+    assert A.gen_chart.index("exp") == 1
+    assert [n for n, _ in alg.d_squared_residuals(A)] == ["x", "a", "exp"]
+    with pytest.raises(geo.ChartError, match="duplicate"):
+        Chart.of_labels(("a", "a"))
 
 
 # ----- wedge -----

@@ -273,14 +273,31 @@ def test_el_residual_guards():
 
 
 def test_el_residual_scale_guard_samples_the_callers_points():
-    # s vanishes at the first sample point of seed 12345 only
+    # s >= 0 vanishes at the first sample point of seed 12345 only
     J = sg.contact_pair(1)
     F = generic_config()
-    c = ex.halton_point(F.chart.sample_box(), 0, 12345)["u"]
-    F = dataclasses.replace(F, s=ex.sub(U, ex.num(c)))
+    c = ex.halton_point(F.chart.sample_box(), 0, 12345)
+    F = dataclasses.replace(F, s=ex.add(ex.pow_(ex.sub(U, ex.num(c["u"])), 2),
+                                        ex.pow_(ex.sub(T, ex.num(c["t"])), 2)))
     sg.el_residual(J, F, **KW)
     with pytest.raises(ValueError, match="scale field"):
         sg.el_residual(J, F, trials=4, seed=12345)
+
+
+@pytest.mark.parametrize("seed", [12345, 987654321])
+def test_el_residual_rejects_a_scale_field_that_changes_sign(seed):
+    # s = u - 1/2 is 0 on the line u = 1/2 but at no sample point; taking
+    # both signs on the connected box is what gives it away
+    J = sg.contact_pair(1)
+    F = sg.contact_solution(1, s_profile=ex.sub(U, ex.num("1/2")))
+    box = F.chart.sample_box()
+    assert min(abs(v) for _, v in ex.sample_values(
+        F.s, box, trials=16, seed=seed)) > sg.S_FLOOR
+    with pytest.raises(ValueError, match="changes sign"):
+        sg.el_residual(J, F, tol=1e-9, trials=16, seed=seed)
+    # one sign throughout is accepted
+    F = sg.contact_solution(1, s_profile=ex.add(U, ex.num("1/2")))
+    assert sg.el_residual(J, F, tol=1e-9, trials=16, seed=seed).ok
 
 
 def test_discrete_el_residual_rejects_a_scale_zero_on_a_node():
