@@ -123,6 +123,12 @@ BAD_INPUTS = {
         "value = exp(u/4 + t/2)", "value = u - 1/2").replace(
         "x0, u = -exp(u/4 + t/2)/4", "x0, u = -1").replace(
         "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0"), "--grid", "33x33"),
+    # a scale field of one sign that is 0 on those nodes only: the
+    # symbolic check passes it, the grid check must not
+    "scale_zero_on_grid_one_signed": ("verify", _contact_field().replace(
+        "value = exp(u/4 + t/2)", "value = (u - 1/2)^2").replace(
+        "x0, u = -exp(u/4 + t/2)/4", "x0, u = 1 - 2*u").replace(
+        "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0"), "--grid", "33x33"),
     # the same field without a grid: 0 at no sample point, but it takes
     # both signs on the surface
     "scale_changes_sign": ("verify", _contact_field().replace(
