@@ -19,7 +19,13 @@ prints:
   trees the program builds from the pair (its `_jacobiators`, the
   Schouten residuals of `jacobi_check` and the components of
   `poissonize(J).pi`, each tensor in its component order).  Verdicts can
-  agree while trees differ; these lines show whether the trees do.
+  agree while trees differ; these lines show whether the trees do;
+* with --halton, one line per Halton sample set of a fixed list, built
+  from empty caches in an order that grows one seed's radical-inverse rows,
+  reuses them for narrower boxes and moves to other trials and seeds: the
+  sha256 of its columns, of its point dicts and of what `halton_points`
+  returns for it, every float by its exact bits and every dict in its key
+  order.
 
 The program is imported from this checkout's `src/`, whatever PYTHONPATH
 says; `perfbench/` is used read-only.
@@ -27,6 +33,7 @@ says; `perfbench/` is used read-only.
 Usage:
     python scripts/verdict_digests.py [--workload verdict_symbolic]
                                       [--seed 5] [--ops 300] [--trees]
+                                      [--halton]
 """
 
 import argparse
@@ -38,6 +45,7 @@ import runpy
 import sys
 import tempfile
 from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 import ops as O  # noqa: E402
 from jacobisigma import cli  # noqa: E402
+from jacobisigma import expr as ex  # noqa: E402
 from jacobisigma import jacobi as jac  # noqa: E402
 from jacobisigma import sigma as sg  # noqa: E402
 
@@ -118,6 +127,47 @@ def tree_digests(pool):
     return _by_kind(pool, line)
 
 
+# (coordinates, trials, seed) in build order: seed 7's rows are built for
+# 3 coordinates, grown to 8 and 24, reused for 2 and 1, then other trials
+# and seeds, a box wider than a cache entry, and a box of no coordinates
+HALTON_SETS = ((3, 64, 7), (8, 64, 7), (2, 64, 7), (24, 64, 7), (1, 64, 7),
+               (24, 16, 7), (5, 64, 8), (40, 100, 12345), (5, 64, 7),
+               (2, 4097, 3), (0, 4, 7))
+
+
+def halton_box(k):
+    """k coordinates with int, fraction and float bounds, inserted in an
+    order that differs from the sorted one."""
+    bounds = ((-1, 2), (Fraction(1, 3), Fraction(5, 2)), (-0.75, 0.5))
+    return {f"c{i}": bounds[i % 3] for i in reversed(range(k))}
+
+
+def _exact(v):
+    """v by its exact bits: floats as hex, dicts as (key, value) in order."""
+    if isinstance(v, dict):
+        return [(k, _exact(u)) for k, u in v.items()]
+    if isinstance(v, list):
+        return [_exact(u) for u in v]
+    return v.hex()
+
+
+def halton_digests():
+    """[(label, columns, points, halton_points sha256)] over HALTON_SETS,
+    built from empty caches."""
+    ex._HALTON_CACHE.clear()
+    getattr(ex, "_HALTON_ROWS", {}).clear()
+    out = []
+    for k, trials, seed in HALTON_SETS:
+        box = halton_box(k)
+        points, cols = ex._halton_set(box, trials, seed)
+        parts = ([(n, _exact(c.tolist())) for n, c in cols.items()],
+                 _exact(points), _exact(ex.halton_points(box, trials, seed)))
+        out.append((f"{k} coords, {trials} trials, seed {seed}",
+                    *(hashlib.sha256(repr(p).encode()).hexdigest()
+                      for p in parts)))
+    return out
+
+
 def report_digest(argv, tmp):
     """(exit code, sha256 of the --json report or '-' if none was written)."""
     out = Path(tmp) / "report.json"
@@ -151,6 +201,8 @@ def main():
     ap.add_argument("--trees", action="store_true",
                     help="also digest the trees built from each op's "
                          "Jacobi pair")
+    ap.add_argument("--halton", action="store_true",
+                    help="also digest a fixed list of Halton sample sets")
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,6 +214,10 @@ def main():
             print("# trees of the Jacobi pairs: ops, sha256")
             for kind, (n, digest) in tree_digests(pool).items():
                 print(f"{kind:<28} {n:>4}  {digest}")
+        if args.halton:
+            print("# Halton sets: sha256 of columns, points, halton_points")
+            for label, *digests in halton_digests():
+                print(f"{label:<34} {' '.join(digests)}")
         print("# CLI --json reports: exit code, sha256")
         for label, argv in cli_cases():
             code, digest = report_digest(argv, tmp)

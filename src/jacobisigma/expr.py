@@ -15,15 +15,18 @@ the sample points are a pure function of (seed, trial index), so every run
 with the same arguments sees the same points.  Sampling is one array pass:
 the points of a (box, trials, seed) are built once and kept in a bounded
 cache as one column per coordinate, and an expression is evaluated on all
-columns at once.  A column is the radical inverse in that coordinate's
-prime, taken over all trial indices at once with numpy; each element goes
-through the operations of the scalar halton_point in the same order, so the
-columns hold its floats exactly, and the point dicts built from them keep
-its sorted-name key order.  The values equal the per-point scalar
-evaluation bit for bit.  Sums, products, quotients and sin/cos/exp/log
-round the same way on arrays as on scalars; numpy's SIMD power does not
-match libm pow in the last bit, so the sampling pass raises each element
-with Python's ** (libm), the power a scalar evaluation uses.
+columns at once.  A column is lo + (hi - lo) * r, with r the radical
+inverses in that coordinate's prime of all trial indices.  Those rows
+depend only on (trials, seed), so they are kept in a second bounded cache,
+shared by every box sampled under the same (trials, seed) and grown when a
+wider box needs more primes; a box's columns are one array operation on
+them.  Each element goes through the operations of the scalar halton_point
+in the same order, so the columns hold its floats exactly, and the point
+dicts built from them keep its sorted-name key order.  The values equal the
+per-point scalar evaluation bit for bit.  Sums, products, quotients and
+sin/cos/exp/log round the same way on arrays as on scalars; numpy's SIMD
+power does not match libm pow in the last bit, so the sampling pass raises
+each element with Python's ** (libm), the power a scalar evaluation uses.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -254,7 +258,8 @@ def sub(a: ExprLike, b: ExprLike) -> Expression:
 
 def pow_(base: ExprLike, k: int) -> Expression:
     base = coerce(base)
-    assert isinstance(k, int), "integer exponents only"
+    if not isinstance(k, int):
+        raise TypeError(f"integer exponents only, got {k!r}")
     if k == 0:
         return ONE
     if k == 1:
@@ -524,17 +529,49 @@ def _radical_inverse(i: int, base: int) -> float:
     return x
 
 
-def _radical_inverses(idx: np.ndarray, base: int) -> np.ndarray:
-    """[_radical_inverse(i, base) for i in idx], the same floats: every
-    element goes through the same operations in the same order, and one
-    whose digits have run out adds f * 0 = +0.0, which changes nothing."""
-    x, f = np.zeros(len(idx)), 1.0 / base
-    i = idx.copy()
-    while i.any():
-        x += f * (i % base)
-        i //= base
-        f /= base
-    return x
+# digits one radical-inverse pass holds at once (its arrays hold a few words
+# per digit), so that a miss for many trials needs little more memory than
+# its points
+_DIGIT_BLOCK = 1 << 16
+
+
+def _digit_count(n: int, base: int) -> int:
+    """The number of base-`base` digits of n >= 0 (1 for n = 0)."""
+    count = 1
+    while n >= base:
+        n //= base
+        count += 1
+    return count
+
+
+def _radical_inverse_rows(idx: np.ndarray, bases) -> np.ndarray:
+    """[[_radical_inverse(i, b) for i in idx] for b in bases], the same
+    floats.  Each run of bases whose digit count c (that of the largest
+    index) is the same is one array pass, and every element goes through
+    the operations of the scalar loop in the same order: digit j is
+    i // b**j - b * (i // b**(j+1)), its factor f_j = 1.0 / b / b ... / b is
+    a sequential divide-accumulate, and the sum is a sequential
+    add-accumulate over j < c of f_j * digit j.  That sum starts at
+    f_0 * digit 0, where the scalar loop adds it to 0.0, and an element
+    whose digits run out before c adds f_j * 0 = +0.0; neither changes a
+    float, since x >= 0.  Many trials are split into passes of at most
+    _DIGIT_BLOCK digits."""
+    top = int(idx.max()) if len(idx) else 0
+    out = [np.zeros((0, len(idx)))]
+    for c, run in groupby(bases, key=lambda b: _digit_count(top, b)):
+        b = np.array(list(run), dtype=np.int64)[:, None, None]
+        powers = b ** np.arange(c + 1)[:, None]
+        f = np.empty((len(b), c + 1))
+        f[:, :1], f[:, 1:] = 1.0, b[:, 0]
+        f = np.divide.accumulate(f, axis=1)[:, 1:, None]
+        x = np.empty((len(b), len(idx)))
+        step = max(1, _DIGIT_BLOCK // (len(b) * c))
+        for s in range(0, len(idx), step):
+            quot = idx[s:s + step] // powers
+            digits = quot[:, :-1] - b * quot[:, 1:]
+            x[:, s:s + step] = np.add.accumulate(f * digits, axis=1)[:, -1]
+        out.append(x)
+    return np.concatenate(out)
 
 
 def _halton_start(seed: int) -> int:
@@ -555,12 +592,42 @@ def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
     return pt
 
 
-# Halton sample sets, kept per (box, trials, seed): a bounded LRU, since
-# every fresh seed makes a new entry.  A set of more than _CACHE_COORDS
-# coordinates is built for its call and not kept.
+# Halton sample sets, kept per (box, trials, seed), and the radical inverses
+# they are built from, kept per (trials, seed) as one row per prime: every
+# box sampled under the same (trials, seed) shares the rows, and a wider box
+# adds the rows it lacks.  Both are bounded LRUs, since every fresh seed
+# makes new entries; an entry of more than _CACHE_COORDS coordinates is
+# built for its call and not kept.
 _CACHE_ENTRIES = 64
 _CACHE_COORDS = 64 * 64
 _HALTON_CACHE: OrderedDict = OrderedDict()
+_HALTON_ROWS: OrderedDict = OrderedDict()
+
+
+def _keep(cache: OrderedDict, key, value):
+    cache[key] = value
+    cache.move_to_end(key)
+    if len(cache) > _CACHE_ENTRIES:
+        cache.popitem(last=False)
+
+
+def _halton_rows(trials: int, seed: int, k: int) -> np.ndarray:
+    """At least k rows, row d the radical inverses in the d-th prime of the
+    Halton indices of trials 0..trials-1.  Read-only, shared with the rows
+    table."""
+    key = (trials, seed)
+    rows = _HALTON_ROWS.get(key)
+    if rows is not None and len(rows) >= k:
+        _HALTON_ROWS.move_to_end(key)
+        return rows
+    have = 0 if rows is None else len(rows)
+    idx = np.arange(trials, dtype=np.int64) + _halton_start(seed)
+    new = _radical_inverse_rows(idx, _primes(k)[have:k])
+    rows = new if rows is None else np.concatenate((rows, new))
+    rows.flags.writeable = False
+    if rows.size <= _CACHE_COORDS:
+        _keep(_HALTON_ROWS, key, rows)
+    return rows
 
 
 def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
@@ -572,20 +639,16 @@ def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
         _HALTON_CACHE.move_to_end(key)
         return hit
     names = sorted(box)
-    primes = _primes(len(names))
-    idx = np.arange(trials, dtype=np.int64) + _halton_start(seed)
-    cols = {}
-    for d, n in enumerate(names):
-        lo, hi = box[n]
-        cols[n] = float(lo) + float(hi - lo) * _radical_inverses(idx, primes[d])
-        cols[n].flags.writeable = False
-    rows = [cols[n].tolist() for n in names]
-    points = [dict(zip(names, [r[t] for r in rows])) for t in range(trials)]
-    hit = (points, cols)
-    if len(points) * len(box) <= _CACHE_COORDS:
-        _HALTON_CACHE[key] = hit
-        if len(_HALTON_CACHE) > _CACHE_ENTRIES:
-            _HALTON_CACHE.popitem(last=False)
+    bounds = [box[n] for n in names]
+    lo = np.array([float(a) for a, _ in bounds])[:, None]
+    span = np.array([float(b - a) for a, b in bounds])[:, None]
+    # lo + (hi - lo) * u, element by element as in halton_point
+    block = lo + span * _halton_rows(trials, seed, len(names))[:len(names)]
+    block.flags.writeable = False
+    points = [dict(zip(names, p)) for p in block.T.tolist()]
+    hit = (points, dict(zip(names, block)))
+    if block.size <= _CACHE_COORDS:
+        _keep(_HALTON_CACHE, key, hit)
     return hit
 
 

@@ -404,7 +404,9 @@ def _action_density(J: JacobiPair, F: FieldConfiguration,
 
 def action(structure, F, variant: str = "homogeneous",
            grid: SurfaceGrid = None) -> float:
-    """Trapezoid quadrature of the chosen action density over the grid."""
+    """Trapezoid quadrature of the chosen action density over the grid.
+    Raises ValueError, unless the variant is constrained, where the scale
+    field drops below S_FLOOR at a node or takes both signs over them."""
     if variant not in ACTION_VARIANTS:
         raise ValueError(f"unknown action variant {variant!r}; "
                          f"expected one of {ACTION_VARIANTS}")
@@ -415,14 +417,12 @@ def action(structure, F, variant: str = "homogeneous",
         if variant != "constrained":
             if F.s is None:
                 raise ValueError(f"the {variant} action needs a scale field")
-            svals = _grid_eval(F.s, grid)
-            if np.min(np.abs(svals)) < S_FLOOR:
-                raise ValueError("scale field drops below 1e-06 on the grid")
+            _check_node_scale(_grid_eval(F.s, grid), "on the grid")
         dens = _action_density(J, F, variant)
         vals = _grid_eval(dens.component("u", "t"), grid)
     elif isinstance(F, DiscreteFieldConfiguration):
-        if variant != "constrained" and D_s_min(F) < S_FLOOR:
-            raise ValueError("scale field drops below 1e-06 on the grid")
+        if variant != "constrained" and F.s is not None:
+            _check_node_scale(F.s, "on the grid")
         vals = _density(J, _sampled_fields(J, F), variant)
         grid = F.grid
     else:
@@ -434,6 +434,19 @@ def action(structure, F, variant: str = "homogeneous",
 
 def D_s_min(D: DiscreteFieldConfiguration) -> float:
     return math.inf if D.s is None else float(np.min(np.abs(D.s)))
+
+
+def _check_node_scale(vals, where: str):
+    """Raise ValueError when the scale field takes both signs over the node
+    values (a continuous s then vanishes between two nodes) or drops below
+    S_FLOOR at a node; where names the nodes.  One min and one max give
+    min |s| without an |s| array."""
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    if lo < 0 < hi:
+        raise ValueError(f"scale field drops below 1e-06 {where}: "
+                         "it changes sign there")
+    if min(abs(lo), abs(hi)) < S_FLOOR:
+        raise ValueError(f"scale field drops below 1e-06 {where}")
 
 
 def _s_min_symbolic(F: FieldConfiguration, *,
@@ -479,7 +492,8 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
     verdict; discrete configurations give finite-difference residual
     arrays (np.gradient, edge_order=2) and their max norms.  Raises
     ValueError where the scale field drops below S_FLOOR, at a sample
-    point or at a grid node, or takes both signs at the sample points.
+    point or at a grid node, or takes both signs at the sample points or
+    at the grid nodes.
     """
     if variant not in ("homogeneous", "reduced"):
         raise ValueError("el_residual covers the homogeneous and reduced "
@@ -503,8 +517,8 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
         dev = max([0.0] + list(norms.values()))
         return ELReport("symbolic", variant, dev <= tol, dev, norms, res)
     if isinstance(F, DiscreteFieldConfiguration):
-        if D_s_min(F) < S_FLOOR:
-            raise ValueError("scale field drops below 1e-06 on the grid")
+        if F.s is not None:
+            _check_node_scale(F.s, "on the grid")
         one, two = _stationarity(J, _sampled_fields(J, F), variant)
         res = {k: np.stack(r) for k, r in one.items()} | two
         norms = {k: float(np.max(np.abs(v))) for k, v in res.items()}
@@ -562,6 +576,8 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
 
     These are the u-components of the homogeneous x and s rows of the
     stationarity system, on the grid backend over the path's own nodes.
+    Raises ValueError where the scale drops below S_FLOOR at a node or
+    takes both signs over them.
     """
     J = _as_pair(structure)
     tn = J.chart.names
@@ -571,8 +587,7 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
         raise ValueError(f"path is missing base components for {missing}")
     xs = {n: _on_nodes(path.x[n], u) for n in tn}
     ss = _on_nodes(path.s, u)
-    if np.min(np.abs(ss)) < S_FLOOR:
-        raise ValueError("path scale drops below 1e-06")
+    _check_node_scale(ss, "along the path")
     pis = {n: (_on_nodes(path.pi.get(n, 0), u),) for n in tn}
     f = _grid_fields(xs, ss, pis, (_on_nodes(path.z, u),), u)
     defects = {k: float(np.max(np.abs(r))) for k, (r,)

@@ -1,10 +1,15 @@
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacobisigma import expr as ex
 
@@ -273,7 +278,8 @@ WIDE_BOX = dict({f"v{i}": (i / 8 - 1.0, 1.0 + i / 3) for i in range(12)},
 def test_batched_sampling_matches_pointwise_evaluation(e, box, trials, seed):
     args = (box, trials, seed)
     kw = dict(trials=trials, seed=seed)
-    ex._HALTON_CACHE.clear()     # build the sample set, not a cached one
+    ex._HALTON_CACHE.clear()     # build the sample set, not a cached one,
+    ex._HALTON_ROWS.clear()      # from radical inverses built for it
     assert (_trace(ex.sample_values(e, box, **kw))
             == _trace(_reference_values(e, *args)))
     assert (_trace(_once(lambda: ex.max_abs(e, box, **kw)))
@@ -326,15 +332,123 @@ def test_halton_cache_is_bounded_and_hands_out_copies():
     for seed in range(300):
         ex.is_zero(ex.var("x"), box, seed=seed)
         assert len(ex._HALTON_CACHE) <= ex._CACHE_ENTRIES
+        assert len(ex._HALTON_ROWS) <= ex._CACHE_ENTRIES
     big = ex._CACHE_COORDS // len(box) + 1
     ex.max_abs(ex.var("y"), box, trials=big)
     assert all(key[1] != big for key in ex._HALTON_CACHE)
+    assert all(key[0] != big for key in ex._HALTON_ROWS)
+    # the shared rows and columns cannot be written through
+    _, cols = ex._halton_set(box, 4, 3)
+    for arr in [*ex._HALTON_ROWS.values(), *cols.values()]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
     pts = ex.halton_points(box, 4, 3)
     pts[0]["x"] = 99.0
     _, witness = ex.max_abs(ex.var("x"), box, trials=4, seed=3)
     witness["y"] = 99.0
     assert ex.halton_points(box, 4, 3) == [ex.halton_point(box, i, 3)
                                            for i in range(4)]
+
+
+def _exact_set(points, cols):
+    """A sample set exactly: its points, and its columns in key order."""
+    return ([_exactly(p) for p in points],
+            [(n, [_exactly(v) for v in c.tolist()]) for n, c in cols.items()])
+
+
+def _reference_set(box, trials, seed):
+    points = [ex.halton_point(box, i, seed) for i in range(trials)]
+    return points, {n: np.array([p[n] for p in points]) for n in sorted(box)}
+
+
+# ints, fractions, and floats of every size (subnormals, signed zeros and
+# infinities too, so a coordinate can be -0.0 or nan)
+_bounds = st.tuples(*[st.one_of(
+    st.integers(-10, 10),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.floats(allow_nan=False))] * 2)
+_requests = st.lists(st.tuples(
+    st.lists(_bounds, max_size=40), st.integers(0, 1), st.integers(0, 1),
+    st.sampled_from(("keep", "drop sets", "drop rows"))),
+    min_size=1, max_size=6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 100), min_size=2, max_size=2),
+       st.lists(st.integers(), min_size=2, max_size=2), _requests,
+       st.sampled_from((1, 40, ex._DIGIT_BLOCK)))
+@example([8, 3], [0, -1], [([(-0.0, -5e-324)], 0, 0, "keep")],  # -0.0 points
+         ex._DIGIT_BLOCK)
+def test_halton_sets_equal_halton_point_in_any_build_order(trials, seeds,
+                                                           requests, block):
+    # Two (trials, seed) pairs per example, so the rows of one are built
+    # cold, grown by a wider box, reused by a narrower one, and (in caches
+    # shrunk to two entries) evicted and built again; small digit blocks
+    # split the trials into several passes.
+    ex._HALTON_CACHE.clear()
+    ex._HALTON_ROWS.clear()
+    with mock.patch.object(ex, "_CACHE_ENTRIES", 2), \
+            mock.patch.object(ex, "_CACHE_COORDS", 1200), \
+            mock.patch.object(ex, "_DIGIT_BLOCK", block):
+        for bounds, ti, si, then in requests:
+            # inserted in an order that differs from the sorted one
+            box = {f"v{i}": b for i, b in reversed(list(enumerate(bounds)))}
+            args = (box, trials[ti], seeds[si])
+            assert (_exact_set(*ex._halton_set(*args))
+                    == _exact_set(*_reference_set(*args)))
+            assert ([_exactly(p) for p in ex.halton_points(*args)]
+                    == _exact_set(*_reference_set(*args))[0])
+            assert len(ex._HALTON_ROWS) <= 2
+            if then == "drop sets":
+                ex._HALTON_CACHE.clear()
+            elif then == "drop rows":
+                ex._HALTON_ROWS.clear()
+
+
+def test_halton_rows_are_shared_grown_and_rebuilt():
+    ex._HALTON_CACHE.clear()
+    ex._HALTON_ROWS.clear()
+    wide = {f"w{i}": (-1.0, float(i)) for i in range(5)}
+    narrow = {"a": (0, 1), "b": (Fraction(1, 3), 2)}
+    ex._halton_set(narrow, 16, 9)
+    cold = ex._HALTON_ROWS[(16, 9)]
+    assert cold.shape == (2, 16)
+    ex._halton_set(wide, 16, 9)                  # grows the same entry
+    grown = ex._HALTON_ROWS[(16, 9)]
+    assert grown.shape == (5, 16) and np.array_equal(grown[:2], cold)
+    ex._HALTON_CACHE.clear()
+    ex._halton_set(narrow, 16, 9)                # reuses the wider rows
+    assert ex._HALTON_ROWS[(16, 9)] is grown
+    for seed in range(ex._CACHE_ENTRIES):        # evicts them
+        ex._halton_set(narrow, 16, 100 + seed)
+    assert (16, 9) not in ex._HALTON_ROWS
+    ex._HALTON_CACHE.clear()
+    assert (_exact_set(*ex._halton_set(wide, 16, 9))
+            == _exact_set(*_reference_set(wide, 16, 9)))
+    assert np.array_equal(ex._HALTON_ROWS[(16, 9)], grown)
+
+
+def test_pow_rejects_a_non_integer_exponent():
+    for base, k in ((ex.var("x"), 1.5), (ex.num(2), 0.5),
+                    (ex.var("x"), Fraction(1, 2))):
+        with pytest.raises(TypeError, match="integer exponents only"):
+            ex.pow_(base, k)
+    # under python -O too, where an assert would be stripped
+    code = ("from jacobisigma import expr as ex\n"
+            "for b, k in ((ex.var('x'), 1.5), (ex.num(2), 0.5)):\n"
+            "    try:\n"
+            "        ex.pow_(b, k)\n"
+            "    except TypeError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'pow_({b}, {k}) was built')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 # ----- constant folding in add and mul against sequential Fraction folds -----

@@ -309,10 +309,48 @@ def test_discrete_el_residual_rejects_a_scale_zero_on_a_node():
     assert sg.D_s_min(D) == 0.0
     with pytest.raises(ValueError, match="scale field drops below"):
         sg.el_residual(J, D, **KW)
-    # off the nodes the same scale is far enough from 0
+    # off the nodes the same scale stays far from 0 at every node, but it
+    # takes both signs there, so it vanishes between two of them
     D = sg.sample_config(F, sg.SurfaceGrid(32, 32))
-    rep = sg.el_residual(J, D, **KW)
-    assert all(math.isfinite(v) for v in rep.norms.values())
+    assert sg.D_s_min(D) > 0.01
+    with pytest.raises(ValueError, match="changes sign"):
+        sg.el_residual(J, D, **KW)
+
+
+# s = u - 1/2 (or u + 1/2) on 32 u-nodes, none of them u = 1/2
+_CROSSING, _POSITIVE = ex.sub(U, ex.num("1/2")), ex.add(U, ex.num("1/2"))
+_GRID32 = sg.SurfaceGrid(32, 32)
+
+
+def _scale_on_grid_paths():
+    J = sg.contact_pair(1)
+    amp = ex.num("3/10")
+    path = sg.APath(x={"x0": ex.mul(amp, ex.sin(U)), "x1": ex.ZERO,
+                       "x2": ex.ZERO}, n=256)
+    return {
+        "el_residual discrete": lambda s: sg.el_residual(
+            J, sg.sample_config(dataclasses.replace(generic_config(), s=s),
+                                _GRID32), **KW),
+        "action discrete": lambda s: sg.action(
+            J, sg.sample_config(dataclasses.replace(generic_config(), s=s),
+                                _GRID32), "homogeneous"),
+        "action symbolic": lambda s: sg.action(
+            J, dataclasses.replace(generic_config(), s=s), "reduced",
+            _GRID32),
+        "apath_check": lambda s: sg.apath_check(
+            J, dataclasses.replace(path, s=s)),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(_scale_on_grid_paths()))
+def test_grid_and_path_checks_reject_a_scale_that_changes_sign(path):
+    run = _scale_on_grid_paths()[path]
+    with pytest.raises(ValueError,
+                       match=r"scale field drops below 1e-06 .*: it changes "
+                             r"sign there"):
+        run(_CROSSING)
+    run(_POSITIVE)          # one sign throughout is accepted
+    run(ex.neg(_POSITIVE))
 
 
 def test_discrete_residuals_converge():

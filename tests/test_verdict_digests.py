@@ -1,11 +1,14 @@
 """scripts/verdict_digests.py on the first three ops of a verdict_symbolic
-pool: the shape of the tree digests, and that they see a changed tree.  No
-timing bound."""
+pool: the shape of the tree digests, and that they see a changed tree; and
+its Halton set digests against sets built point by point.  No timing
+bound."""
 
 import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +38,27 @@ def test_tree_digests_of_three_ops(monkeypatch, tmp_path):
                         lambda J: reversed(list(jacobiators(J))))
     changed = vd.tree_digests(pool)
     assert all(changed[k][1] != d for k, (_, d) in digests.items())
+
+
+
+def test_halton_digests_digest_the_values_halton_point_gives(monkeypatch):
+    vd = _load(monkeypatch)
+    digests = vd.halton_digests()
+    assert len(digests) == len(vd.HALTON_SETS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d)
+               for _, *ds in digests for d in ds)
+    assert vd.halton_digests() == digests
+
+    def reference_set(box, trials, seed):
+        """The sample set as halton_point makes it, point by point."""
+        points = [vd.ex.halton_point(box, i, seed) for i in range(trials)]
+        return points, {n: np.array([p[n] for p in points])
+                        for n in sorted(box)}
+    # the same floats built point by point give the same digests ...
+    monkeypatch.setattr(vd.ex, "_halton_set", reference_set)
+    assert vd.halton_digests() == digests
+    # ... and other floats other digests (a box of no coordinates has none)
+    monkeypatch.setattr(vd.ex, "_halton_start", lambda seed: seed % 7 + 18)
+    changed = vd.halton_digests()
+    assert all(c[1:] != d[1:] for c, d, (k, _, _)
+               in zip(changed, digests, vd.HALTON_SETS) if k)
