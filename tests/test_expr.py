@@ -397,10 +397,9 @@ def test_halton_sets_equal_halton_point_in_any_build_order(trials, seeds,
             # inserted in an order that differs from the sorted one
             box = {f"v{i}": b for i, b in reversed(list(enumerate(bounds)))}
             args = (box, trials[ti], seeds[si])
-            assert (_exact_set(*ex._halton_set(*args))
-                    == _exact_set(*_reference_set(*args)))
-            assert ([_exactly(p) for p in ex.halton_points(*args)]
-                    == _exact_set(*_reference_set(*args))[0])
+            want = _exact_set(*_reference_set(*args))
+            assert _exact_set(*ex._halton_set(*args)) == want
+            assert [_exactly(p) for p in ex.halton_points(*args)] == want[0]
             assert len(ex._HALTON_ROWS) <= 2
             if then == "drop sets":
                 ex._HALTON_CACHE.clear()
