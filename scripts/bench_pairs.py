@@ -4,13 +4,14 @@ Each seed of the range is one pair: `perfbench/run.py --workload W --seed N
 --seconds S --trace 0` runs once in the parent checkout and once in the
 change, alternating which side runs first (the parent first on even pair
 indices), with S the `run_seconds` of the change's BENCHMARK.json.  Every
-run is recorded.  Per end-to-end metric of BENCHMARK.json the summary gives
-each side's median and quartiles (numpy's linear percentiles), the pairs
-the change wins and loses (ties count for neither), the relative change of
-the medians, and whether the change's median stays within the metric's
-bound.  With --claim METRIC the claim rule is applied to that metric: at
-least ten pairs, the change wins at least nine tenths of them, and the
-medians differ by more than the parent's interquartile range.
+run is recorded, with the number of ops it attempted.  Per end-to-end
+metric of BENCHMARK.json the summary gives each side's median and
+quartiles (numpy's linear percentiles), the pairs the change wins and
+loses (ties count for neither), the relative change of the medians, and
+whether the change's median stays within the metric's bound.  With
+--claim METRIC the claim rule is applied to that metric: at least ten
+pairs, the change wins at least nine tenths of them, and the medians
+differ by more than the parent's interquartile range.
 
 The output file keeps what it already holds: this workload's entry (and
 the claim, when one is given) is replaced, other workloads stay.
@@ -128,6 +129,8 @@ def main():
     entry = {"seeds": args.seeds, "pairs": len(args.seeds),
              "correct_all_runs": all(r["correct"] for side in runs.values()
                                      for r in side),
+             "attempted": {side: [r["attempted"] for r in runs[side]]
+                           for side in runs},
              "metrics": {}}
     for name, m in metrics.items():
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]]

@@ -23,9 +23,8 @@ prints:
 * with --halton, one line per Halton sample set of a fixed list, built
   from empty caches in an order that grows one seed's radical-inverse rows,
   reuses them for narrower boxes and moves to other trials and seeds: the
-  sha256 of its columns, of its point dicts and of what `halton_points`
-  returns for it, every float by its exact bits and every dict in its key
-  order.
+  sha256 of its columns and of the point dicts `halton_points` returns for
+  it, every float by its exact bits and every dict in its key order.
 
 The program is imported from this checkout's `src/`, whatever PYTHONPATH
 says; `perfbench/` is used read-only.
@@ -151,17 +150,24 @@ def _exact(v):
     return v.hex()
 
 
+def _columns(box, trials, seed):
+    """The columns `_halton_set` keeps for the sample set; a checkout whose
+    `_halton_set` returns (points, columns) gives its second item."""
+    cols = ex._halton_set(box, trials, seed)
+    return cols[1] if isinstance(cols, tuple) else cols
+
+
 def halton_digests():
-    """[(label, columns, points, halton_points sha256)] over HALTON_SETS,
+    """[(label, columns sha256, halton_points sha256)] over HALTON_SETS,
     built from empty caches."""
     ex._HALTON_CACHE.clear()
     getattr(ex, "_HALTON_ROWS", {}).clear()
     out = []
     for k, trials, seed in HALTON_SETS:
         box = halton_box(k)
-        points, cols = ex._halton_set(box, trials, seed)
+        cols = _columns(box, trials, seed)
         parts = ([(n, _exact(c.tolist())) for n, c in cols.items()],
-                 _exact(points), _exact(ex.halton_points(box, trials, seed)))
+                 _exact(ex.halton_points(box, trials, seed)))
         out.append((f"{k} coords, {trials} trials, seed {seed}",
                     *(hashlib.sha256(repr(p).encode()).hexdigest()
                       for p in parts)))
@@ -215,7 +221,7 @@ def main():
             for kind, (n, digest) in tree_digests(pool).items():
                 print(f"{kind:<28} {n:>4}  {digest}")
         if args.halton:
-            print("# Halton sets: sha256 of columns, points, halton_points")
+            print("# Halton sets: sha256 of columns, halton_points")
             for label, *digests in halton_digests():
                 print(f"{label:<34} {' '.join(digests)}")
         print("# CLI --json reports: exit code, sha256")

@@ -21,9 +21,12 @@ depend only on (trials, seed), so they are kept in a second bounded cache,
 shared by every box sampled under the same (trials, seed) and grown when a
 wider box needs more primes; a box's columns are one array operation on
 them.  Each element goes through the operations of the scalar halton_point
-in the same order, so the columns hold its floats exactly, and the point
-dicts built from them keep its sorted-name key order.  The values equal the
-per-point scalar evaluation bit for bit.  Sums, products, quotients and
+in the same order, so the columns hold its floats exactly.  is_zero and
+max_abs read the values only; a point is built as a dict of Python floats
+only where a caller needs one (the max_abs witness, each point
+sample_values yields, halton_points, a guard that trips), from the columns,
+in halton_point's sorted-name key order.  The values equal the per-point
+scalar evaluation bit for bit.  Sums, products, quotients and
 sin/cos/exp/log round the same way on arrays as on scalars; numpy's SIMD
 power does not match libm pow in the last bit, so the sampling pass raises
 each element with Python's ** (libm), the power a scalar evaluation uses.
@@ -630,14 +633,15 @@ def _halton_rows(trials: int, seed: int, k: int) -> np.ndarray:
     return rows
 
 
-def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
-    """(points, columns): the halton_point dicts for trials 0..trials-1 and
-    one float array per coordinate.  Shared with the cache; do not mutate."""
+def _halton_set(box: Mapping[str, tuple], trials: int, seed: int) -> dict:
+    """The sample set of trials 0..trials-1 as columns: one float array per
+    coordinate, in sorted name order, element i the coordinate of
+    halton_point(box, i, seed).  Shared with the cache; do not mutate."""
     key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed)
-    hit = _HALTON_CACHE.get(key)
-    if hit is not None:
+    cols = _HALTON_CACHE.get(key)
+    if cols is not None:
         _HALTON_CACHE.move_to_end(key)
-        return hit
+        return cols
     names = sorted(box)
     bounds = [box[n] for n in names]
     lo = np.array([float(a) for a, _ in bounds])[:, None]
@@ -645,16 +649,23 @@ def _halton_set(box: Mapping[str, tuple], trials: int, seed: int):
     # lo + (hi - lo) * u, element by element as in halton_point
     block = lo + span * _halton_rows(trials, seed, len(names))[:len(names)]
     block.flags.writeable = False
-    points = [dict(zip(names, p)) for p in block.T.tolist()]
-    hit = (points, dict(zip(names, block)))
+    cols = dict(zip(names, block))
     if block.size <= _CACHE_COORDS:
-        _keep(_HALTON_CACHE, key, hit)
-    return hit
+        _keep(_HALTON_CACHE, key, cols)
+    return cols
+
+
+def _point_dicts(cols: Mapping[str, np.ndarray], n: int) -> list:
+    """The n points of cols as fresh dicts of Python floats, each in the
+    key order of cols."""
+    names = list(cols)
+    rows = [c.tolist() for c in cols.values()]
+    return [dict(zip(names, p)) for p in (zip(*rows) if rows else [()] * n)]
 
 
 def halton_points(box: Mapping[str, tuple], trials: int, seed: int) -> list:
     """[halton_point(box, i, seed) for i in range(trials)], as fresh dicts."""
-    return [dict(p) for p in _halton_set(box, trials, seed)[0]]
+    return _point_dicts(_halton_set(box, trials, seed), trials)
 
 
 def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
@@ -670,13 +681,45 @@ def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
     evaluation there raises.
     """
     try:
-        return np.broadcast_to(_evaluate(e, cols, _libm_pow), (n,)).tolist()
+        v = _evaluate(e, cols, _libm_pow)
     except ArithmeticError:
         # a guard, a variable cols lacks, or OverflowError from a libm power
-        names = list(cols)
-        rows = [cols[k].tolist() for k in names]
-        return (evaluate(e, dict(zip(names, [r[i] for r in rows])))
-                for i in range(n))
+        return (evaluate(e, p) for p in _point_dicts(cols, n))
+    # an array of length n, or a float when e has no variable
+    return v.tolist() if isinstance(v, np.ndarray) else [v] * n
+
+
+def _point_array(e: Expression, cols: Mapping[str, np.ndarray], n: int):
+    """_point_values as a float array: if a guard trips, the error a scalar
+    evaluation raises at the first bad point."""
+    return np.array(list(_point_values(e, cols, n)), dtype=float)
+
+
+def _sample(e: Expression, box: Mapping[str, tuple], trials: int, seed: int):
+    """(columns, values): the box's sample set and e's value at each of its
+    points (_point_values).  Raises ValueError when trials < 1, since a
+    check over no points would pass vacuously, and when a guard trips
+    because the box lacks a variable of e."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    cols = _halton_set(box, trials, seed)
+    values = _point_values(e, cols, trials)
+    if isinstance(values, list):
+        return cols, values
+    return cols, _named_missing(e, box, values)
+
+
+def _named_missing(e: Expression, box: Mapping[str, tuple], values):
+    """values, with a guard trip caused by a variable the box lacks raised
+    as a ValueError that names the missing variables."""
+    try:
+        yield from values
+    except ArithmeticError:
+        missing = free_vars(e) - set(box)
+        if missing:
+            raise ValueError(f"box is missing variables: {sorted(missing)}") \
+                from None
+        raise
 
 
 def sample_values(e: Expression, box: Mapping[str, tuple], *,
@@ -689,38 +732,31 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
     and the values before it are still yielded.  Raises ValueError when
     trials < 1: a check over no points would pass vacuously.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    points, cols = _halton_set(box, trials, seed)
-    try:
-        for p, v in zip(points, _point_values(e, cols, len(points))):
-            yield dict(p), v
-    except ArithmeticError:
-        missing = free_vars(e) - set(box)
-        if missing:
-            raise ValueError(f"box is missing variables: {sorted(missing)}") \
-                from None
-        raise
+    cols, values = _sample(e, box, trials, seed)
+    yield from zip(_point_dicts(cols, trials), values)
 
 
 def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> bool:
+    """|e| <= tol at every sample point.  Stops at the first point where it
+    is not, so a guard that would trip at a later point does not raise."""
     if not _has_var(e):
         return abs(evaluate(e, {})) <= tol
-    return all(abs(v) <= tol for _, v in
-               sample_values(e, box, trials=trials, seed=seed))
+    _, values = _sample(e, box, trials, seed)
+    return all(abs(v) <= tol for v in values)
 
 
 def max_abs(e: Expression, box: Mapping[str, tuple], *,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
-    """(max |e|, witness point) over the sample set."""
+    """(max |e|, witness point) over the sample set; the witness is the
+    first point where the maximum is reached."""
     if not _has_var(e):
         return abs(evaluate(e, {})), {}
-    best, best_pt = -1.0, None
-    for pt, v in sample_values(e, box, trials=trials, seed=seed):
-        if abs(v) > best:
-            best, best_pt = abs(v), pt
-    return best, best_pt
+    cols, values = _sample(e, box, trials, seed)
+    mags = list(map(abs, values))
+    best = max(mags)
+    i = mags.index(best)
+    return best, {n: c[i].item() for n, c in cols.items()}
 
 
 # ----- parsing -----

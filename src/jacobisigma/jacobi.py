@@ -37,6 +37,8 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from . import expr as ex
 from . import geometry as geo
 from .expr import Expression
@@ -55,6 +57,12 @@ class HomogeneousPoissonError(ValueError, AssertionError):
     AssertionError, the type callers caught when it was checked by assert."""
 
 
+class JacobiPairError(ValueError, AssertionError):
+    """A Jacobi pair whose Lam or E is not of its degree on the pair's chart.
+    Also an AssertionError, the type callers caught when it was checked by
+    assert."""
+
+
 @dataclass
 class JacobiPair:
     chart: Chart
@@ -62,8 +70,12 @@ class JacobiPair:
     e: MultivectorField
 
     def __post_init__(self):
-        assert self.lam.degree == 2 and self.lam.chart == self.chart
-        assert self.e.degree == 1 and self.e.chart == self.chart
+        for label, t, degree in (("Lam", self.lam, 2), ("E", self.e, 1)):
+            if t.degree != degree or t.chart != self.chart:
+                raise JacobiPairError(
+                    f"{label} must be a multivector field of degree {degree} "
+                    f"on the pair's chart {self.chart.names}, got degree "
+                    f"{t.degree} on {t.chart.names}")
 
     @classmethod
     def build(cls, chart: Chart, lam_comps: Mapping = None, e_comps: Mapping = None):
@@ -443,6 +455,20 @@ def _extended_overlap_maps(atlas: LineBundleAtlas, ov: Overlap, s_name: str):
     return fwd, inv
 
 
+def _inside(cols: Mapping, box: Mapping, n: int) -> np.ndarray:
+    """Mask of the n points of cols with lo < x < hi on every coordinate of
+    the box, each Python float compared with the bounds as they are."""
+    inside = np.ones(n, dtype=bool)
+    for name, (lo, hi) in box.items():
+        inside &= [lo < x < hi for x in cols[name].tolist()]
+    return inside
+
+
+def _select(cols: Mapping, mask: np.ndarray) -> dict:
+    """The points of cols where mask holds, in the key order of cols."""
+    return {n: c[mask] for n, c in cols.items()}
+
+
 def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
                 tol: float = ex.DEFAULT_TOL, g_floor: float = 1e-6,
                 trials: int = ex.DEFAULT_TRIALS,
@@ -490,41 +516,42 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
             if o1.dst != o2.src:
                 continue
             # sample src points whose image lands in o2's box
-            pts = ex.halton_points(o1.src_box, trials, seed)
-            checked, ok = 0, True
-            for pt in pts:
-                img = {n: ex.evaluate(o1.fwd.comps[n], pt)
-                       for n in o1.fwd.dst.names if n in o2.src_box}
-                if any(not (lo < img[n] < hi)
-                       for n, (lo, hi) in o2.src_box.items()):
-                    continue
-                g_prod = (ex.evaluate(o2.g, img) * ex.evaluate(o1.g, pt))
-                if o1.src == o2.dst:
-                    # closed chain: composite must be the identity with g = 1
-                    back = {n: ex.evaluate(o2.fwd.comps[n], img)
-                            for n in o2.fwd.dst.names}
-                    if any(abs(back[n] - pt[n]) > 10 * tol for n in back):
-                        ok = False
-                    if abs(g_prod - 1.0) > 10 * tol:
-                        ok = False
-                    checked += 1
-                else:
-                    # open chain: compare against a declared composite overlap
-                    for o3 in atlas.overlaps:
-                        if o3.src != o1.src or o3.dst != o2.dst:
-                            continue
-                        if any(not (lo < pt[n] < hi)
-                               for n, (lo, hi) in o3.src_box.items()):
-                            continue
-                        comp = {n: ex.evaluate(o2.fwd.comps[n], img)
-                                for n in o2.fwd.dst.names}
-                        dec = {n: ex.evaluate(o3.fwd.comps[n], pt)
-                               for n in o3.fwd.dst.names}
-                        if any(abs(comp[n] - dec[n]) > 10 * tol for n in comp):
-                            ok = False
-                        if abs(ex.evaluate(o3.g, pt) - g_prod) > 10 * tol:
-                            ok = False
-                        checked += 1
+            pts = ex._halton_set(o1.src_box, trials, seed)
+            img = {n: ex._point_array(o1.fwd.comps[n], pts, trials)
+                   for n in o1.fwd.dst.names if n in o2.src_box}
+            inside = _inside(img, o2.src_box, trials)
+            if not inside.any():
+                continue
+            pts, img = _select(pts, inside), _select(img, inside)
+            k = int(inside.sum())
+            g_prod = (ex._point_array(o2.g, img, k)
+                      * ex._point_array(o1.g, pts, k))
+            if o1.src == o2.dst:
+                # closed chain: composite must be the identity with g = 1
+                bad = abs(g_prod - 1.0) > 10 * tol
+                for n in o2.fwd.dst.names:
+                    back = ex._point_array(o2.fwd.comps[n], img, k)
+                    bad |= abs(back - pts[n]) > 10 * tol
+                checked, ok = k, not bad.any()
+            else:
+                # open chain: compare against a declared composite overlap
+                checked, ok = 0, True
+                for o3 in atlas.overlaps:
+                    if o3.src != o1.src or o3.dst != o2.dst:
+                        continue
+                    sel = _inside(pts, o3.src_box, k)
+                    m = int(sel.sum())
+                    if not m:
+                        continue
+                    pt3, img3 = _select(pts, sel), _select(img, sel)
+                    g3 = ex._point_array(o3.g, pt3, m)
+                    bad = abs(g3 - g_prod[sel]) > 10 * tol
+                    for n in o2.fwd.dst.names:
+                        comp = ex._point_array(o2.fwd.comps[n], img3, m)
+                        dec = ex._point_array(o3.fwd.comps[n], pt3, m)
+                        bad |= abs(comp - dec) > 10 * tol
+                    ok = ok and not bad.any()
+                    checked += m
             if checked:
                 chain_checks.append({"via": f"{o1.src}->{o1.dst}->{o2.dst}"
                                             f" [{i},{j}]",

@@ -432,10 +432,6 @@ def action(structure, F, variant: str = "homogeneous",
     return float(np.trapezoid(inner, grid.u_nodes))
 
 
-def D_s_min(D: DiscreteFieldConfiguration) -> float:
-    return math.inf if D.s is None else float(np.min(np.abs(D.s)))
-
-
 def _check_node_scale(vals, where: str):
     """Raise ValueError when the scale field takes both signs over the node
     values (a continuous s then vanishes between two nodes) or drops below

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from jacobisigma import algebroid as alg
+from jacobisigma import expr as ex
 from jacobisigma.cli import main, parse_structure, _algebroid_dev
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +78,25 @@ def _contact_field(field_line="", x0=None):
                                                 f"x0 = {x0}")
 
 
+# the sixth sample point of overlap 1 of the shipped Moebius atlas; that
+# overlap is the identity, so the point is also its image
+POLE = ex.halton_point({"x": (0.55, 0.95)}, 5, KW["seed"])["x"]
+
+
+def _pole_in_transition_factor():
+    """The shipped Moebius atlas with a transition factor of overlap 2 that
+    has a pole at POLE.  Overlap 2's own box is widened, so its own sample
+    points miss the pole and only the chain check O->U->O, which evaluates
+    the factor at the images of overlap 1's points, reaches it."""
+    text = (ROOT / "structures/moebius-atlas.ini").read_text()
+    old = ("[overlap:2]\nsrc = U\ndst = O\ng = 1\nfwd.x = x\ninv.x = x\n"
+           "src_box.x = 0.55, 0.95\n")
+    assert old in text
+    return text.replace(old, f"[overlap:2]\nsrc = U\ndst = O\n"
+                             f"g = 1/(x - {POLE!r})\nfwd.x = x\ninv.x = x\n"
+                             f"src_box.x = 0.5, 0.95\n")
+
+
 BAD_INPUTS = {
     "gen_weights": ("check", "[structure]\nkind = algebroid\n\n[chart]\n"
                     "names = x\n\n[generators]\nnames = a\n\n"
@@ -135,6 +155,8 @@ BAD_INPUTS = {
         "value = exp(u/4 + t/2)", "value = u - 1/2").replace(
         "x0, u = -exp(u/4 + t/2)/4", "x0, u = -1").replace(
         "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0")),
+    # a transition factor with a pole where a chain check evaluates it
+    "pole_in_transition_factor": ("check", _pole_in_transition_factor()),
     # a chart coordinate named after the constant pi
     "coordinate_named_pi": ("check", "[structure]\nkind = jacobi\n\n"
                             "[chart]\nnames = x, y, pi\n\n"
@@ -177,6 +199,13 @@ def test_bad_input_values_exit_2_with_one_line(tmp_path, case):
     code, out, err = run(*_bad_argv(tmp_path, case))
     assert code == 2, out + err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_chain_check_guard_names_the_image_point(tmp_path):
+    code, out, err = run(*_bad_argv(tmp_path, "pole_in_transition_factor"))
+    assert code == 2, out + err
+    assert err == ("error: an input cannot be evaluated: near-zero "
+                   f"denominator at the sample point x = {POLE!r}\n")
 
 
 def test_duplicate_chart_rejected_under_python_O(tmp_path):

@@ -219,9 +219,20 @@ wide_exprs = st.recursive(st.one_of(leaves(), st.just(ex.PI)), wide_nodes,
 
 
 def _reference_values(e, box, trials, seed):
+    """(point, value) at each trial, from halton_point and a scalar
+    evaluate; a guard tripped because the box lacks a variable of e is a
+    ValueError that names the missing variables."""
     for i in range(trials):
         pt = ex.halton_point(box, i, seed)
-        yield pt, ex.evaluate(e, pt)
+        try:
+            value = ex.evaluate(e, pt)
+        except ex.EvaluationError:
+            missing = ex.free_vars(e) - set(box)
+            if missing:
+                raise ValueError(f"box is missing variables: "
+                                 f"{sorted(missing)}") from None
+            raise
+        yield pt, value
 
 
 def _reference_max_abs(e, box, trials, seed):
@@ -289,6 +300,64 @@ def test_batched_sampling_matches_pointwise_evaluation(e, box, trials, seed):
                 == _trace(_once(lambda: _reference_is_zero(f, *args))))
 
 
+def _outcome(run):
+    """run() exactly, or the error it raised as (type, message, point)."""
+    try:
+        return _exactly(run())
+    except (ArithmeticError, ValueError) as err:
+        return (type(err), str(err), _exactly(getattr(err, "point", None)))
+
+
+# Rewrites of a drawn tree: 1.0 wherever it is not 0, so every point ties
+# for the maximum; 1 + e/2**52, which takes few distinct values, so some
+# points tie; and e - e, which is 0 everywhere
+REWRITES = {
+    "as drawn": lambda e: e,
+    "every point ties": lambda e: _or_first(ex.div)((e, e)),
+    "some points tie": lambda e: ex.add(ex.ONE, ex.mul(
+        ex.num(Fraction(1, 2 ** 52)), e)),
+    "zero": lambda e: ex.sub(e, e),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_exprs, st.sampled_from(sorted(REWRITES)),
+       st.dictionaries(st.sampled_from(VARS),
+                       st.sampled_from(((-1.0, 1.0), (0.25, 0.25), (-1, 2)))),
+       st.one_of(st.none(), st.integers(0, 63)), st.sampled_from((1, 7, 64)),
+       st.integers(0, 2 ** 31))
+def test_is_zero_and_max_abs_equal_a_pointwise_reference(e, rewrite, box,
+                                                          pole, trials, seed):
+    # Boxes may lack variables of the tree (a ValueError naming them) and
+    # may pin a coordinate (every point the same there, so values tie); a
+    # pole added at sample point `pole` trips a guard there, after the
+    # points before it, where is_zero may already have decided.
+    e = REWRITES[rewrite](e)
+    if pole is not None and "x" in box and pole < trials:
+        e = ex.add(e, _pole_at(box, pole, seed))
+    args, kw = (box, trials, seed), dict(trials=trials, seed=seed)
+    assert (_outcome(lambda: ex.max_abs(e, box, **kw))
+            == _outcome(lambda: _reference_max_abs(e, *args)))
+    assert (_outcome(lambda: ex.is_zero(e, box, tol=1e-9, **kw))
+            == _outcome(lambda: _reference_is_zero(e, *args)))
+
+
+def test_max_abs_witness_is_the_first_maximum():
+    box, seed = {"x": (-1.0, 1.0), "y": (0.25, 0.25)}, 3
+    for e in (ex.div(ex.var("x"), ex.var("x")), ex.var("y"),
+              ex.sub(ex.var("x"), ex.var("x"))):
+        assert ex.max_abs(e, box, seed=seed)[1] == ex.halton_point(box, 0, seed)
+    # 1 + x/2**52 rounds to 1 + 2**-52 at most, at several points, the
+    # first of them not point 0
+    e = REWRITES["some points tie"](ex.var("x"))
+    m, witness = ex.max_abs(e, box, seed=seed)
+    first = next(i for i in range(64)
+                 if ex.evaluate(e, ex.halton_point(box, i, seed)) == m)
+    assert first > 0 and m == 1 + 2 ** -52
+    assert witness == ex.halton_point(box, first, seed)
+    assert list(witness) == ["x", "y"]
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_sampling_needs_at_least_one_trial(trials):
     x = ex.var("x")
@@ -338,7 +407,7 @@ def test_halton_cache_is_bounded_and_hands_out_copies():
     assert all(key[1] != big for key in ex._HALTON_CACHE)
     assert all(key[0] != big for key in ex._HALTON_ROWS)
     # the shared rows and columns cannot be written through
-    _, cols = ex._halton_set(box, 4, 3)
+    cols = ex._halton_set(box, 4, 3)
     for arr in [*ex._HALTON_ROWS.values(), *cols.values()]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -360,6 +429,13 @@ def _exact_set(points, cols):
 def _reference_set(box, trials, seed):
     points = [ex.halton_point(box, i, seed) for i in range(trials)]
     return points, {n: np.array([p[n] for p in points]) for n in sorted(box)}
+
+
+def _built_set(box, trials, seed):
+    """The sample set as the sampler hands it out: halton_points, and the
+    columns _halton_set keeps."""
+    return (ex.halton_points(box, trials, seed),
+            ex._halton_set(box, trials, seed))
 
 
 # ints, fractions, and floats of every size (subnormals, signed zeros and
@@ -398,8 +474,7 @@ def test_halton_sets_equal_halton_point_in_any_build_order(trials, seeds,
             box = {f"v{i}": b for i, b in reversed(list(enumerate(bounds)))}
             args = (box, trials[ti], seeds[si])
             want = _exact_set(*_reference_set(*args))
-            assert _exact_set(*ex._halton_set(*args)) == want
-            assert [_exactly(p) for p in ex.halton_points(*args)] == want[0]
+            assert _exact_set(*_built_set(*args)) == want
             assert len(ex._HALTON_ROWS) <= 2
             if then == "drop sets":
                 ex._HALTON_CACHE.clear()
@@ -425,7 +500,7 @@ def test_halton_rows_are_shared_grown_and_rebuilt():
         ex._halton_set(narrow, 16, 100 + seed)
     assert (16, 9) not in ex._HALTON_ROWS
     ex._HALTON_CACHE.clear()
-    assert (_exact_set(*ex._halton_set(wide, 16, 9))
+    assert (_exact_set(*_built_set(wide, 16, 9))
             == _exact_set(*_reference_set(wide, 16, 9)))
     assert np.array_equal(ex._HALTON_ROWS[(16, 9)], grown)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,6 +141,44 @@ def test_scale_interval_must_avoid_zero():
     ch = Chart(("x", "s"), {"s": (-1.0, 1.0)}, {"s": 1})
     with pytest.raises(AssertionError):
         jac.HomogeneousPoisson(ch, geo.mvf(ch, 2, {}), "s")
+
+
+_BAD_PAIRS = {
+    # Lam on another chart, E on another chart, and the degrees swapped
+    "lam_chart": "JacobiPair(CH3, geo.mvf(Chart(('x', 'y', 'w')), 2, {}), "
+                 "geo.mvf(CH3, 1, {}))",
+    "e_chart": "JacobiPair(CH3, geo.mvf(CH3, 2, {}), "
+               "geo.mvf(Chart(('x', 'y')), 1, {}))",
+    "degrees": "JacobiPair(CH3, geo.mvf(CH3, 1, {}), geo.mvf(CH3, 2, {}))",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PAIRS))
+def test_jacobi_pair_rejects_fields_off_its_chart(case):
+    with pytest.raises(jac.JacobiPairError, match="on the pair's chart"):
+        eval(_BAD_PAIRS[case])
+    assert issubclass(jac.JacobiPairError, ValueError)
+    assert issubclass(jac.JacobiPairError, AssertionError)
+
+
+def test_jacobi_pair_rejects_fields_off_its_chart_under_python_O():
+    # an assert would be stripped under -O and the pair accepted
+    code = ("from jacobisigma import geometry as geo\n"
+            "from jacobisigma import jacobi as jac\n"
+            "from jacobisigma.geometry import Chart\n"
+            "from jacobisigma.jacobi import JacobiPair\n"
+            "CH3 = Chart(('x', 'y', 'z'))\n"
+            f"for text in {list(_BAD_PAIRS.values())!r}:\n"
+            "    try:\n"
+            "        eval(text)\n"
+            "    except jac.JacobiPairError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{text} was accepted')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 # ----- jets and derivations -----

@@ -50,10 +50,10 @@ def test_halton_digests_digest_the_values_halton_point_gives(monkeypatch):
     assert vd.halton_digests() == digests
 
     def reference_set(box, trials, seed):
-        """The sample set as halton_point makes it, point by point."""
+        """The columns of the sample set as halton_point makes it, point by
+        point."""
         points = [vd.ex.halton_point(box, i, seed) for i in range(trials)]
-        return points, {n: np.array([p[n] for p in points])
-                        for n in sorted(box)}
+        return {n: np.array([p[n] for p in points]) for n in sorted(box)}
     # the same floats built point by point give the same digests ...
     monkeypatch.setattr(vd.ex, "_halton_set", reference_set)
     assert vd.halton_digests() == digests
