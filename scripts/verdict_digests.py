@@ -24,7 +24,14 @@ prints:
   from empty caches in an order that grows one seed's radical-inverse rows,
   reuses them for narrower boxes and moves to other trials and seeds: the
   sha256 of its columns and of the point dicts `halton_points` returns for
-  it, every float by its exact bits and every dict in its key order.
+  it, every float by its exact bits and every dict in its key order;
+* with --arrays, for the grid_fd ops among the first K, one line per op
+  kind: the op count and a sha256 over the sha256 of every node array the
+  op computes (each residual array of an `el_conv` op, the density an
+  `action_*` op integrates, the transport defect rows of an `apath*`
+  op), every float by its exact bits after `+ 0.0`, which makes every
+  zero +0.0.  Equal lines mean that no array value moved, up to the sign
+  of a zero entry, which no norm or quadrature reads.
 
 The program is imported from this checkout's `src/`, whatever PYTHONPATH
 says; `perfbench/` is used read-only.
@@ -32,7 +39,7 @@ says; `perfbench/` is used read-only.
 Usage:
     python scripts/verdict_digests.py [--workload verdict_symbolic]
                                       [--seed 5] [--ops 300] [--trees]
-                                      [--halton]
+                                      [--halton] [--arrays]
 """
 
 import argparse
@@ -46,6 +53,8 @@ import tempfile
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -123,6 +132,72 @@ def tree_digests(pool):
                      list(rep.res_e_lam.comps.items()),
                      list(rep.res_lam_lam.comps.items()),
                      list(jac.poissonize(J).pi.comps.items())))
+    return _by_kind(pool, line)
+
+
+def array_sha(a):
+    """sha256 of a node array: its shape, then every float by its exact
+    bits after + 0.0, so -0.0 and +0.0 give the same digest."""
+    a = np.asarray(a, float) + 0.0
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def _node_array(a, shape):
+    """A grid backend result as an array: a checkout may keep an all-zero
+    result as a marker object, or as the 0 a sum starts from."""
+    return a if isinstance(a, np.ndarray) else np.zeros(shape)
+
+
+def grid_arrays(op, ctx):
+    """[(label, array)] of the node arrays a grid_fd op computes, or None
+    for an op that computes none (holonomy, rk4).  The arrays are those of
+    `perfbench/ops.py`'s call: the residual arrays of both grids of an
+    `el_conv` op, the density an `action_*` op integrates, and the
+    transport rows of an `apath*` op after `apath_check` ran on it."""
+    kind, J = op["kind"], ctx["J"]
+    if kind == "el_conv":
+        F = O._contact_field(op, ctx, reduced=op["variant"] == "reduced")
+        out = []
+        for n in (op["n"], 2 * op["n"] - 1):
+            rep = sg.el_residual(J, sg.sample_config(F, sg.SurfaceGrid(n, n)),
+                                 variant=op["variant"])
+            out += [(f"{n}:{k}", v) for k, v in sorted(rep.residuals.items())]
+        return out
+    if kind.startswith("action_"):
+        F = O._action_field(op, ctx, hom=op["variant"] == "homogeneous")
+        grid = sg.SurfaceGrid(op["n"], op["n"])
+        if kind == "action_sym":
+            dens = sg._action_density(J, F, op["variant"])
+            return [("density", sg._grid_eval(dens.component("u", "t"), grid))]
+        f = sg._sampled_fields(J, sg.sample_config(F, grid))
+        return [("density", _node_array(sg._density(J, f, op["variant"]),
+                                        (grid.nu, grid.nt)))]
+    if kind.startswith("apath"):
+        names = ("x0", "x1", "x2")
+        path = sg.APath(x={n: O._p(v) for n, v in zip(names, op["x"])},
+                        pi={n: O._p(v) for n, v in zip(names, op["pi"])},
+                        s=O._p(op["s"]), z=O._p(op["z"]), n=op["n"])
+        sg.apath_check(J, path)
+        u = np.linspace(0.0, 1.0, path.n)
+        f = sg._grid_fields(
+            {n: sg._on_nodes(path.x[n], u) for n in names},
+            sg._on_nodes(path.s, u),
+            {n: (sg._on_nodes(path.pi.get(n, 0), u),) for n in names},
+            (sg._on_nodes(path.z, u),), u)
+        return [(k, _node_array(r, u.shape))
+                for k, (r,) in sorted(sg._transport(J, f, red=False).items())]
+    return None
+
+
+def array_digests(pool):
+    """{kind: (ops, sha256)} over the node arrays of each grid_fd op."""
+    ctx = O.make_ctx("grid_fd")
+
+    def line(op):
+        arrays = grid_arrays(op, ctx)
+        if arrays is None:
+            return None
+        return " ".join(f"{label}={array_sha(a)}" for label, a in arrays)
     return _by_kind(pool, line)
 
 
@@ -209,7 +284,12 @@ def main():
                          "Jacobi pair")
     ap.add_argument("--halton", action="store_true",
                     help="also digest a fixed list of Halton sample sets")
+    ap.add_argument("--arrays", action="store_true",
+                    help="also digest the node arrays of each grid_fd op "
+                         "(needs --workload grid_fd)")
     args = ap.parse_args()
+    if args.arrays and args.workload != "grid_fd":
+        ap.error("--arrays digests grid_fd ops; add --workload grid_fd")
 
     with tempfile.TemporaryDirectory() as tmp:
         print(f"# {args.workload} seed {args.seed}, first {args.ops} ops")
@@ -224,6 +304,10 @@ def main():
             print("# Halton sets: sha256 of columns, halton_points")
             for label, *digests in halton_digests():
                 print(f"{label:<34} {' '.join(digests)}")
+        if args.arrays:
+            print("# node arrays of the grid ops, zeros as +0.0: ops, sha256")
+            for kind, (n, digest) in array_digests(pool).items():
+                print(f"{kind:<28} {n:>4}  {digest}")
         print("# CLI --json reports: exit code, sha256")
         for label, argv in cli_cases():
             code, digest = report_digest(argv, tmp)

@@ -371,7 +371,8 @@ def from_linear_bivector(P: MultivectorField, fiber_names: Sequence[str] = None,
         dev = geo.max_abs_tensor(diff, trials=trials, seed=seed)[0]
         if dev > tol:
             raise InternalConsistencyError(
-                f"extraction does not rebuild the input (deviation {dev:.3e})")
+                f"from_linear_bivector: extraction does not rebuild the "
+                f"input (deviation {dev:.3e})")
     return A
 
 
@@ -690,8 +691,8 @@ def jacobi_morphism_check(psi: LiftedMorphism, *, tol=ex.DEFAULT_TOL,
     anchor_ok = anchor_dev <= tol
     if a_report.ok and not anchor_ok:
         raise InternalConsistencyError(
-            "morphism equations hold but the scaled anchor family does not "
-            f"(deviation {anchor_dev:.3e})")
+            "jacobi_morphism_check: morphism equations hold but the scaled "
+            f"anchor family does not (deviation {anchor_dev:.3e})")
     return JacobiMorphismReport(a_report.ok and anchor_ok, a_report,
                                 anchor_ok, residuals, anchor_dev)
 

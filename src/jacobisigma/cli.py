@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import math
 import os
@@ -30,6 +31,33 @@ from pathlib import Path
 # pool, whose idle workers spin on the CPU; one thread starts none.  This
 # must run before numpy is first imported, and a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _keep_freed_memory():
+    """Keep freed grid temporaries in the process.  glibc serves each
+    block over its mmap threshold (128 KiB at first) by mmap and unmaps it
+    on free, and trims the heap top past 128 KiB, so every grid check
+    faults its temporaries in afresh (a fifth of the CPU of the grid
+    benchmark workload, on a 2-core x86_64 machine).  Raise the mmap threshold to
+    glibc's 64-bit maximum and the trim threshold above it (setting only
+    the trim threshold would freeze the mmap threshold at 128 KiB).  A
+    no-op without glibc's mallopt; a caller's MALLOC_MMAP_THRESHOLD_ or
+    MALLOC_TRIM_THRESHOLD_ wins."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_mmap_threshold, m_trim_threshold = -3, -1     # from <malloc.h>
+    for env, param, value in (
+            ("MALLOC_MMAP_THRESHOLD_", m_mmap_threshold, 32 << 20),
+            ("MALLOC_TRIM_THRESHOLD_", m_trim_threshold, 128 << 20)):
+        if env not in os.environ:
+            mallopt(param, value)
+
+
+_keep_freed_memory()
 
 from . import expr as ex  # noqa: E402
 from . import geometry as geo  # noqa: E402
@@ -807,6 +835,11 @@ def main(argv=None) -> int:
         return 2
     except ex.EvaluationError as err:
         print(f"error: {_guard_message(err)}", file=sys.stderr)
+        return 2
+    except jac.InternalConsistencyError as err:
+        print(f"error: {err}; the two routes of this check disagree at "
+              f"--tol {args.tol:g}, which may lie below their round-off",
+              file=sys.stderr)
         return 2
     seconds = time.perf_counter() - t0
     report = {"command": args.cmd, "ok": bool(ok),

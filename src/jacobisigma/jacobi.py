@@ -202,7 +202,8 @@ def jacobi_check(J: JacobiPair, *, tol: float = ex.DEFAULT_TOL,
 
     if not jac_ok and sn_ok:
         raise InternalConsistencyError(
-            "Jacobiator violation with vanishing structure residuals")
+            "jacobi_check: Jacobiator violation with vanishing structure "
+            "residuals")
 
     witness = None
     if not jac_ok:

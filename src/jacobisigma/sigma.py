@@ -29,6 +29,18 @@ of them is evaluated on that direction's nodes alone; broadcasting gives
 every element the same IEEE operation on the same inputs as the full mesh
 would, so no sampled value moves.
 
+The grid backend replaces every field component and structure coefficient
+whose node array is all zero (a zero base map, a missing pi component, a
+coefficient that vanishes on the fields) by one marker, _ZERO, before the
+equations run.  The marker absorbs like the zero it stands for: times or
+over anything it is itself, plus anything it is the other operand, and a
+stencil of it is itself, so no arithmetic runs on an all-zero array.  The
+results are those of the full arrays up to the sign of a zero entry,
+which no norm or quadrature reads, while every product stays finite (the
+node values come from guarded evaluation, which rejects non-finite ones).
+``el_residual``, ``action`` and ``apath_check`` turn a marker back into
+zeros before they report.
+
 Sign conventions follow the rest of the package: the homogeneous
 stationarity system is
 
@@ -181,14 +193,17 @@ def _grid_eval(e, grid: SurfaceGrid) -> np.ndarray:
 
     u goes in as an (nu, 1) column and t as a (1, nt) row, so a subtree in
     u alone costs nu values and one in t alone nt; numpy broadcasting makes
-    full-size arrays only where u and t meet, and the result is broadcast
-    to (nu, nt) once.  No bit moves: each element still goes through the
-    same IEEE operation on the same inputs, and each guard tests the same
-    set of values.
+    full-size arrays only where u and t meet, and a result in u or t alone
+    is broadcast to (nu, nt) once.  A full-size result is returned as it
+    is: a broadcasting operation built it, so nothing else holds it.  No
+    bit moves: each element still goes through the same IEEE operation on
+    the same inputs, and each guard tests the same set of values.
     """
-    v = ex.evaluate(ex.coerce(e), {"u": grid.u_nodes[:, None],
-                                   "t": grid.t_nodes[None, :]})
-    return np.broadcast_to(np.asarray(v, float), (grid.nu, grid.nt)).copy()
+    v = np.asarray(ex.evaluate(ex.coerce(e), {"u": grid.u_nodes[:, None],
+                                              "t": grid.t_nodes[None, :]}),
+                   float)
+    shape = (grid.nu, grid.nt)
+    return v if v.shape == shape else np.broadcast_to(v, shape).copy()
 
 
 def sample_config(F: FieldConfiguration, grid: SurfaceGrid
@@ -273,31 +288,77 @@ def _exact_fields(J: JacobiPair, F: FieldConfiguration) -> _Fields:
                    {n: ut(F.pi_form(n)) for n in J.chart.names}, ut(F.z))
 
 
+class _Zero:
+    """An all-zero node array of the grid backend (see the module
+    docstring).  ndarray operators defer to it, since it sets
+    __array_ufunc__ to None."""
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+    __rmul__ = __truediv__ = __mul__
+
+    def __add__(self, other):
+        return other
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __neg__(self):
+        return self
+
+
+_ZERO = _Zero()
+
+
+def _absorb(a):
+    """a, or the marker where a is all zero."""
+    return a if a is _ZERO or a.any() else _ZERO
+
+
+def _full(a, shape) -> np.ndarray:
+    """a as a node array: zeros for the marker, or for the 0 a sum of
+    markers starts from."""
+    return a if isinstance(a, np.ndarray) else np.zeros(shape)
+
+
+def _max_norm(a: np.ndarray) -> float:
+    """max |a| from one max and one min, without an |a| array; a zero norm
+    is +0.0."""
+    return float(max(np.max(a), -np.min(a))) + 0.0
+
+
 def _grid_fields(x, s, p, z, u: np.ndarray, t: np.ndarray = None) -> _Fields:
     """Grid backend: arrays over the u nodes (and the t nodes, for a
-    surface); each structure coefficient is evaluated once per backend."""
+    surface), with the marker for every all-zero component of x, p and z;
+    each structure coefficient is evaluated once per backend, on the
+    arrays of x, and is the marker where it vanishes at every node."""
     shape = u.shape if t is None else (u.size, t.size)
 
     @functools.cache
     def at(e):
-        return np.broadcast_to(np.asarray(ex.evaluate(e, x), float), shape)
+        v = np.asarray(ex.evaluate(e, x), float)
+        return np.broadcast_to(v, shape) if v.any() else _ZERO
     return _Fields(lambda a: _stencil(a, u, 0), lambda a: _stencil(a, t, 1),
-                   at, x, s, p, z)
+                   at, {n: _absorb(a) for n, a in x.items()}, s,
+                   {n: tuple(map(_absorb, w)) for n, w in p.items()},
+                   tuple(map(_absorb, z)))
 
 
-def _stencil(a: np.ndarray, nodes: np.ndarray, axis: int) -> np.ndarray:
-    """np.gradient(a, nodes, axis=axis, edge_order=2), skipped when a is all
-    zero (a missing pi component, a zero base map): the stencil is zero
-    there, up to the sign of a zero, which no norm reads."""
-    if not a.any():
-        return np.zeros_like(a)
+def _stencil(a, nodes: np.ndarray, axis: int):
+    """np.gradient(a, nodes, axis=axis, edge_order=2); the marker for the
+    marker."""
+    if a is _ZERO:
+        return a
     return np.gradient(a, nodes, axis=axis, edge_order=2)
 
 
 def _sampled_fields(J: JacobiPair, D: DiscreteFieldConfiguration) -> _Fields:
     g = D.grid
-    zero = np.zeros((g.nu, g.nt))
-    p = {n: (D.pi_u.get(n, zero), D.pi_t.get(n, zero)) for n in J.chart.names}
+    p = {n: (D.pi_u.get(n, _ZERO), D.pi_t.get(n, _ZERO))
+         for n in J.chart.names}
     return _grid_fields(D.x, D.s, p, (D.z_u, D.z_t), g.u_nodes, g.t_nodes)
 
 
@@ -423,8 +484,9 @@ def action(structure, F, variant: str = "homogeneous",
     elif isinstance(F, DiscreteFieldConfiguration):
         if variant != "constrained" and F.s is not None:
             _check_node_scale(F.s, "on the grid")
-        vals = _density(J, _sampled_fields(J, F), variant)
         grid = F.grid
+        vals = _full(_density(J, _sampled_fields(J, F), variant),
+                     (grid.nu, grid.nt))
     else:
         raise TypeError("expected a FieldConfiguration or "
                         "DiscreteFieldConfiguration")
@@ -516,8 +578,11 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
         if F.s is not None:
             _check_node_scale(F.s, "on the grid")
         one, two = _stationarity(J, _sampled_fields(J, F), variant)
-        res = {k: np.stack(r) for k, r in one.items()} | two
-        norms = {k: float(np.max(np.abs(v))) for k, v in res.items()}
+        shape = (F.grid.nu, F.grid.nt)
+        res = ({k: np.stack([_full(c, shape) for c in r])
+                for k, r in one.items()}
+               | {k: _full(r, shape) for k, r in two.items()})
+        norms = {k: _max_norm(v) for k, v in res.items()}
         dev = max(norms.values()) if norms else 0.0
         return ELReport("discrete", variant, dev <= tol, dev, norms, res)
     raise TypeError("expected a FieldConfiguration or "
@@ -544,14 +609,11 @@ class APathReport:
     max_defect: float
     defects: dict
     n: int
-    note: str = ""
 
     def summary(self) -> str:
         head = f"apath_check: {'PASS' if self.ok else 'FAIL'}  " \
                f"max defect {self.max_defect:.3e} ({self.n} nodes)"
         rows = [f"  {k}: {v:.3e}" for k, v in sorted(self.defects.items())]
-        if self.note:
-            rows.append(f"  note: {self.note}")
         return "\n".join([head] + rows)
 
 
@@ -572,8 +634,11 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
 
     These are the u-components of the homogeneous x and s rows of the
     stationarity system, on the grid backend over the path's own nodes.
-    Raises ValueError where the scale drops below S_FLOOR at a node or
-    takes both signs over them.
+    With eta = -pi/s the s row is d(log s)/du = +E^j eta_j, the rule
+    apath_holonomy integrates: one transport rule, so on a path that
+    passes, apath_holonomy(J, x, -pi/s) is s(1)/s(0).  Raises ValueError
+    where the scale drops below S_FLOOR at a node or takes both signs over
+    them.
     """
     J = _as_pair(structure)
     tn = J.chart.names
@@ -586,19 +651,10 @@ def apath_check(structure, path: APath, *, tol: float = 1e-4) -> APathReport:
     _check_node_scale(ss, "along the path")
     pis = {n: (_on_nodes(path.pi.get(n, 0), u),) for n in tn}
     f = _grid_fields(xs, ss, pis, (_on_nodes(path.z, u),), u)
-    defects = {k: float(np.max(np.abs(r))) for k, (r,)
+    defects = {k: _max_norm(_full(r, u.shape)) for k, (r,)
                in _transport(J, f, red=False).items()}
     dev = max(defects.values())
-    # Two transport rules are in circulation and both are kept on purpose:
-    # this check uses the linear rule ds/du = -E^k pi_k, while
-    # apath_holonomy follows the multiplicative rule d(log s)/du =
-    # +E^j eta_j.  Under the naive substitution eta = pi they disagree in
-    # sign and in the scale factor, so the report says which is which
-    # instead of silently picking a side.
-    note = ("transport here uses ds/du = -E^k pi_k; apath_holonomy follows "
-            "d(log s)/du = +E^j eta_j, which differs in sign and scale "
-            "factor under eta = pi")
-    return APathReport(dev <= tol, dev, defects, path.n, note)
+    return APathReport(dev <= tol, dev, defects, path.n)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -616,7 +672,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 def apath_holonomy(structure, x: dict, eta: dict, *, n: int = 257) -> float:
     """exp of the Simpson integral of E^j(x(u)) eta_j(u) over [0,1];
-    the ratio s(1)/s(0) transported along the reduced path."""
+    the ratio s(1)/s(0) transported along the reduced path.  With
+    eta = -pi/s the rule d(log s)/du = +E^j eta_j is the s row
+    ds/du = -E^k pi_k of apath_check, divided by s."""
     J = _as_pair(structure)
     tn = J.chart.names
     u = np.linspace(0.0, 1.0, n)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from jacobisigma import algebroid as alg
 from jacobisigma import expr as ex
+from jacobisigma import cli
 from jacobisigma.cli import main, parse_structure, _algebroid_dev
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +58,22 @@ def test_check_handwritten_table_is_not_lie():
     code, out, err = run("check", fixture("structures/a10-algebroid.ini"))
     assert code == 1, out + err
     assert any("lie" in l for l in out.splitlines())
+
+
+@pytest.mark.parametrize("structure, tol", [
+    ("structures/contact-k1.ini", "0"), ("structures/moebius.ini", "0"),
+    ("structures/moebius.ini", "1e-300")])
+def test_tolerance_below_round_off_exits_2_with_one_line(structure, tol):
+    """Below round-off the structural and the sampled route of jacobi_check
+    disagree: one error line naming the check and the --tol, exit 2."""
+    code, out, err = run("check", fixture(structure), "--tol", tol)
+    assert code == 2, out + err
+    assert err.startswith("error: jacobi_check: ") and not out
+    assert f"--tol {float(tol):g}" in err and len(err.splitlines()) == 1
+    # the default --tol is unaffected
+    code, out, err = run("check", fixture(structure))
+    assert code == 0 and not err, out + err
+    assert "jacobi.ok = True" in out
 
 
 def test_check_bad_inputs_exit_2(tmp_path):
@@ -412,8 +430,11 @@ def test_cli_import_leaves_scipy_out():
 
 def _python(code, **env):
     """Run code in a fresh interpreter that imports ./src and has no
-    OPENBLAS_NUM_THREADS unless given one; its stdout."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    OPENBLAS_NUM_THREADS or glibc allocator thresholds unless given them;
+    its stdout."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "MALLOC_MMAP_THRESHOLD_",
+                         "MALLOC_TRIM_THRESHOLD_")}
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
                          env=dict(base, PYTHONPATH=str(ROOT / "src"), **env),
                          capture_output=True, text=True)
@@ -434,6 +455,44 @@ def test_cli_import_pins_openblas_to_one_thread():
 def test_cli_import_keeps_the_callers_openblas_setting():
     code = "import os, jacobisigma.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_cli_import_keeps_freed_grid_memory_in_the_process():
+    """With jacobisigma.cli imported, a second el_residual on a 513x513
+    grid reuses the memory the first one freed: under a quarter of the
+    minor page faults it makes with only jacobisigma.sigma imported."""
+    code = ("import resource, {module}\n"
+            "from jacobisigma import sigma as sg\n"
+            "J = sg.contact_pair(1)\n"
+            "D = sg.sample_config(sg.contact_solution(1), "
+            "sg.SurfaceGrid(513, 513))\n"
+            "sg.el_residual(J, D)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sg.el_residual(J, D)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+    faults = {m: int(_python(code.format(module=m), OPENBLAS_NUM_THREADS="1"))
+              for m in ("jacobisigma.cli", "jacobisigma.sigma")}
+    assert 4 * faults["jacobisigma.cli"] < faults["jacobisigma.sigma"], faults
+    # thresholds the caller sets win (here glibc's static defaults)
+    callers = int(_python(code.format(module="jacobisigma.cli"),
+                          OPENBLAS_NUM_THREADS="1",
+                          MALLOC_MMAP_THRESHOLD_="131072",
+                          MALLOC_TRIM_THRESHOLD_="131072"))
+    assert 4 * callers >= faults["jacobisigma.sigma"], (callers, faults)
+
+
+@pytest.mark.parametrize("libc", [OSError, object])
+def test_allocator_setting_is_a_no_op_without_mallopt(monkeypatch, libc):
+    """No libc.so.6 (OSError), or one without mallopt (AttributeError)."""
+    def cdll(name):
+        if libc is OSError:
+            raise OSError(f"{name}: cannot open shared object file")
+        return libc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
 
 
 def test_library_import_leaves_openblas_setting_alone():

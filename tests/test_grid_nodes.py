@@ -1,6 +1,8 @@
-"""Grid fields on the open (u, t) mesh and the RK4 scale transport, each
-against the full-array / scalar reference it replaced, bit for bit."""
+"""Grid fields on the open (u, t) mesh, the zero marker of the grid
+backend and the RK4 scale transport, each against the full-array / scalar
+reference it replaced, bit for bit."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobisigma import expr as ex
+from jacobisigma import geometry as geo
+from jacobisigma import jacobi as jac
 from jacobisigma import sigma as sg
 
 U = ex.var("u")
@@ -115,17 +119,218 @@ def _signed_zeros(rng, shape):
                                 rng.standard_normal(shape))])
 @pytest.mark.parametrize("nu, nt", [(3, 3), (9, 5), (33, 17)])
 def test_grid_stencils_equal_np_gradient(make, nu, nt):
-    """The grid backend's du/dt skip the stencil on all-zero arrays and equal
+    """The grid backend holds an all-zero field as the zero marker, whose
+    stencil is the marker; du/dt, with the marker read as zeros, equal
     np.gradient under == everywhere (a zero's sign may differ)."""
     grid = sg.SurfaceGrid(nu, nt, 1.5)
-    f = sg._grid_fields({}, None, {}, (), grid.u_nodes, grid.t_nodes)
     a = make(np.random.default_rng(nu * nt), (nu, nt))
-    for got, want in ((f.du(a), np.gradient(a, grid.u_nodes, axis=0,
-                                            edge_order=2)),
-                      (f.dt(a), np.gradient(a, grid.t_nodes, axis=1,
-                                            edge_order=2))):
+    f = sg._grid_fields({"a": a}, None, {}, (), grid.u_nodes, grid.t_nodes)
+    assert (f.x["a"] is sg._ZERO) == (not a.any())
+    for got, want in ((f.du(f.x["a"]), np.gradient(a, grid.u_nodes, axis=0,
+                                                   edge_order=2)),
+                      (f.dt(f.x["a"]), np.gradient(a, grid.t_nodes, axis=1,
+                                                   edge_order=2))):
+        got = sg._full(got, a.shape)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+# ------------------------------------- the zero marker against full zeros
+
+def _full_zero_fields(x, s, p, z, u, t=None):
+    """The reference: the grid backend that keeps every all-zero array as a
+    full array, with a stencil of zeros_like for an all-zero one."""
+    shape = u.shape if t is None else (u.size, t.size)
+
+    @functools.cache
+    def at(e):
+        return np.broadcast_to(np.asarray(ex.evaluate(e, x), float), shape)
+
+    def stencil(a, nodes, axis):
+        if not a.any():
+            return np.zeros_like(a)
+        return np.gradient(a, nodes, axis=axis, edge_order=2)
+    return sg._Fields(lambda a: stencil(a, u, 0), lambda a: stencil(a, t, 1),
+                      at, x, s, p, z)
+
+
+def _reference_surface(J, D):
+    zero = np.zeros((D.grid.nu, D.grid.nt))
+    p = {n: (D.pi_u.get(n, zero), D.pi_t.get(n, zero)) for n in J.chart.names}
+    return _full_zero_fields(D.x, D.s, p, (D.z_u, D.z_t),
+                             D.grid.u_nodes, D.grid.t_nodes)
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+def _general_pair():
+    """Coefficients that vanish wherever some base map does."""
+    names = ("x0", "x1", "x2")
+    x0, x1, x2 = map(ex.var, names)
+    return jac.JacobiPair.build(
+        geo.Chart(names), {("x0", "x1"): ex.mul(x2, x0),
+                           ("x1", "x2"): ex.add(x1, ex.ONE)},
+        {("x1",): x0, ("x2",): ex.mul(x1, x2)})
+
+
+PAIRS = {"contact": sg.contact_pair(1), "moebius": sg.moebius_pair(),
+         "general": _general_pair()}
+KINDS = ("values", "zeros", "signed_zeros", "bumped", "sparse", "missing")
+
+
+def _component(kind, rng, shape):
+    """One node array of the given kind (None for a missing one)."""
+    if kind == "values":
+        return rng.standard_normal(shape)
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "signed_zeros":
+        return _signed_zeros(rng, shape)
+    if kind == "bumped":
+        a = _signed_zeros(rng, shape)
+        a[tuple(rng.integers(0, n) for n in shape)] = rng.standard_normal()
+        return a
+    if kind == "sparse":
+        return np.where(rng.random(shape) < 0.7, _signed_zeros(rng, shape),
+                        rng.standard_normal(shape))
+    return None
+
+
+@st.composite
+def grid_cases(draw, surface=True):
+    """(J, node shape, components by slot): random all-zero, signed zero
+    and bumped components; a missing x or z component is zeros."""
+    J = PAIRS[draw(st.sampled_from(sorted(PAIRS)))]
+    shape = ((draw(st.integers(3, 12)), draw(st.integers(3, 12))) if surface
+             else (draw(st.integers(3, 40)),))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    slots = ([f"x:{n}" for n in J.chart.names]
+             + [f"pi_{c}:{n}" for n in J.chart.names for c in "ut"]
+             + ["z_u", "z_t"])
+    kinds = {k: draw(st.sampled_from(KINDS)) for k in slots}
+    comps = {k: _component(kind, rng, shape) for k, kind in kinds.items()}
+    for k, a in comps.items():
+        if a is None and not k.startswith("pi_"):
+            comps[k] = np.zeros(shape)
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    comps["s"] = sign * (0.5 + rng.random(shape))
+    return J, shape, comps
+
+
+def _surface_config(J, shape, comps, t_extent):
+    grid = sg.SurfaceGrid(*shape, t_extent)
+    names = J.chart.names
+    return sg.DiscreteFieldConfiguration(
+        grid, {n: comps[f"x:{n}"] for n in names}, comps["s"],
+        {n: comps[f"pi_u:{n}"] for n in names
+         if comps[f"pi_u:{n}"] is not None},
+        {n: comps[f"pi_t:{n}"] for n in names
+         if comps[f"pi_t:{n}"] is not None},
+        comps["z_u"], comps["z_t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases(), st.sampled_from((1.0, 0.7)))
+def test_zero_marker_equals_full_zero_arrays(case, t_extent):
+    """Density, action, stationarity rows and norms of the grid backend
+    equal those of the full-array reference: arrays under ==, so only the
+    sign of a zero entry may differ, and norms and actions bit for bit."""
+    J, shape, comps = case
+    D = _surface_config(J, shape, comps, t_extent)
+    ref = _reference_surface(J, D)
+    u, t = D.grid.u_nodes, D.grid.t_nodes
+    for variant in sg.ACTION_VARIANTS:
+        want = sg._density(J, ref, variant)
+        got = sg._full(sg._density(J, sg._sampled_fields(J, D), variant),
+                       shape)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        action = float(np.trapezoid(np.trapezoid(want, t, axis=1), u))
+        assert _bits(sg.action(J, D, variant)) == _bits(action)
+    for variant in ("homogeneous", "reduced"):
+        one, two = sg._stationarity(J, ref, variant)
+        want = {k: np.stack(r) for k, r in one.items()} | two
+        rep = sg.el_residual(J, D, variant=variant)
+        assert rep.residuals.keys() == want.keys()
+        for k, w in want.items():
+            got = rep.residuals[k]
+            assert got.shape == w.shape and got.dtype == w.dtype
+            assert np.array_equal(got, w), k
+            assert _bits(rep.norms[k]) == _bits(np.max(np.abs(w))), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases(surface=False))
+def test_zero_marker_path_transport_equals_full_zero_arrays(case):
+    """apath_check's transport rows and defects against the reference."""
+    J, (n,), comps = case
+    names = J.chart.names
+    path = sg.APath(x={m: comps[f"x:{m}"] for m in names},
+                    pi={m: comps[f"pi_u:{m}"] for m in names
+                        if comps[f"pi_u:{m}"] is not None},
+                    s=comps["s"], z=comps["z_u"], n=n)
+    u = np.linspace(0.0, 1.0, n)
+    pis = {m: (path.pi.get(m, np.zeros(n)),) for m in names}
+    args = (path.x, path.s, pis, (path.z,), u)
+    want = sg._transport(J, _full_zero_fields(*args), red=False)
+    got = sg._transport(J, sg._grid_fields(*args), red=False)
+    assert got.keys() == want.keys()
+    rep = sg.apath_check(J, path)
+    for k, (w,) in want.items():
+        assert np.array_equal(sg._full(got[k][0], u.shape), w), k
+        assert _bits(rep.defects[k]) == _bits(np.max(np.abs(w))), k
+
+
+def test_an_all_zero_density_and_rows_read_as_zeros():
+    """Every term zero: the constrained density is the 0 its sum starts
+    from, and every row but ds (the stencil of s) is the marker; the
+    reports read +0.0 zeros."""
+    J = sg.contact_pair(1)
+    grid = sg.SurfaceGrid(5, 7)
+    zero = np.zeros((5, 7))
+    D = sg.DiscreteFieldConfiguration(grid, {n: zero for n in J.chart.names},
+                                      np.ones((5, 7)), {}, {}, zero, -zero)
+    f = sg._sampled_fields(J, D)
+    assert sg._density(J, f, "constrained") == 0
+    assert _bits(sg.action(J, D, "constrained")) == _bits(0.0)
+    one, two = sg._stationarity(J, f, "homogeneous")
+    assert all(r is sg._ZERO for r in two.values())
+    assert all(c is sg._ZERO for k, r in one.items() if k != "s" for c in r)
+    rep = sg.el_residual(J, D)
+    for k, v in rep.residuals.items():
+        assert v.shape[-2:] == (5, 7)
+        if k != "s":
+            assert not v.any() and _bits(rep.norms[k]) == _bits(0.0)
+
+
+def test_a_zero_array_bumped_after_sampling_is_seen():
+    """The marker is chosen when the backend is built, so bumping a node of
+    a zero base map of a sampled configuration moves its residual rows as
+    it does with full arrays."""
+    J = sg.contact_pair(1)
+    D = sg.sample_config(sg.contact_solution(1), sg.SurfaceGrid(9, 9))
+    assert not D.x["x2"].any()
+    assert sg.el_residual(J, D).norms["x:x2"] == 0.0
+    D.x["x2"] = D.x["x2"].copy()
+    D.x["x2"][4, 4] = 1e-3
+    rep = sg.el_residual(J, D)
+    one, two = sg._stationarity(J, _reference_surface(J, D), "homogeneous")
+    want = {k: np.stack(r) for k, r in one.items()} | two
+    assert rep.norms["x:x2"] > 0.0
+    for k, w in want.items():
+        assert np.array_equal(rep.residuals[k], w), k
+
+
+def test_zero_marker_absorbs():
+    a = np.arange(1.0, 4.0)
+    z = sg._ZERO
+    for v in (z * a, a * z, z / a, 2.0 * z, z * z, -z, z - z, z + z):
+        assert v is z
+    for v in (z + a, a + z, a - z):
+        assert v is a
+    assert np.array_equal(z - a, -a)
+    assert 0 + z == 0
 
 
 # ------------------------------------------------- RK4 scale transport

@@ -462,7 +462,39 @@ def test_apath_check_accepts_transport_solutions():
         pi={"x0": ex.mul(c, s)}, s=s, z=0)
     rep = sg.apath_check(J, path)
     assert rep.ok and rep.max_defect <= 1e-4
-    assert "-E^k pi_k" in rep.note and "+E^j eta_j" in rep.note
+
+
+def _transport_paths():
+    """Paths of contact_pair(1) that solve the transport equations: with
+    pi = -ds/du along x0, x2 = (1/5)/s and z = dx0/du."""
+    c = ex.num("1/2")
+    s_exp = ex.exp(ex.neg(ex.mul(c, U)))
+    s_sin = ex.add(ex.num("3/2"), ex.mul(ex.num("1/2"),
+                                         ex.sin(ex.mul(ex.num(2), U))))
+    x0 = ex.mul(ex.num("1/10"), ex.sin(U))
+    return [sg.APath(x={"x0": ex.num("1/10"), "x1": ex.num("1/5"),
+                        "x2": ex.mul(ex.num("1/5"), ex.exp(ex.mul(c, U)))},
+                     pi={"x0": ex.mul(c, s_exp)}, s=s_exp, z=0),
+            sg.APath(x={"x0": x0, "x1": ex.num("1/5"),
+                        "x2": ex.div(ex.num("1/5"), s_sin)},
+                     pi={"x0": ex.neg(ex.differentiate(s_sin, "u"))},
+                     s=s_sin, z=ex.differentiate(x0, "u"))]
+
+
+@pytest.mark.parametrize("path", _transport_paths())
+def test_one_transport_rule(path):
+    """With eta = -pi/s, apath_holonomy's d(log s)/du = +E^j eta_j is
+    apath_check's s row ds/du = -E^k pi_k: on a path that passes
+    apath_check the holonomy is s(1)/s(0), to Simpson accuracy."""
+    J = sg.contact_pair(1)
+    assert sg.apath_check(J, path).ok
+    eta = {n: ex.neg(ex.div(w, path.s)) for n, w in path.pi.items()}
+    ratio = (ex.evaluate(path.s, {"u": 1.0})
+             / ex.evaluate(path.s, {"u": 0.0}))
+    assert abs(sg.apath_holonomy(J, path.x, eta) - ratio) <= 1e-9
+    # the sign matters: eta = +pi/s gives the inverse ratio instead
+    flipped = {n: ex.div(w, path.s) for n, w in path.pi.items()}
+    assert abs(sg.apath_holonomy(J, path.x, flipped) - 1 / ratio) <= 1e-9
 
 
 def test_apath_check_rejects_broken_transport():

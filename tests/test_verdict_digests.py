@@ -1,7 +1,8 @@
 """scripts/verdict_digests.py on the first three ops of a verdict_symbolic
-pool: the shape of the tree digests, and that they see a changed tree; and
-its Halton set digests against sets built point by point.  No timing
-bound."""
+pool: the shape of the tree digests, and that they see a changed tree; its
+Halton set digests against sets built point by point; and its node array
+digests of grid_fd ops, which see a moved value but not the sign of a
+zero.  No timing bound."""
 
 import importlib.util
 import re
@@ -40,7 +41,6 @@ def test_tree_digests_of_three_ops(monkeypatch, tmp_path):
     assert all(changed[k][1] != d for k, (_, d) in digests.items())
 
 
-
 def test_halton_digests_digest_the_values_halton_point_gives(monkeypatch):
     vd = _load(monkeypatch)
     digests = vd.halton_digests()
@@ -62,3 +62,44 @@ def test_halton_digests_digest_the_values_halton_point_gives(monkeypatch):
     changed = vd.halton_digests()
     assert all(c[1:] != d[1:] for c, d, (k, _, _)
                in zip(changed, digests, vd.HALTON_SETS) if k)
+
+
+# the cheap ops of one pass of a grid_fd pool: el_conv 65 (both variants),
+# action_sym 65, action_disc 65, apath 257, apath_tampered 257, holonomy
+CHEAP_GRID_OPS = (0, 1, 5, 9, 13, 14, 16)
+
+
+def test_array_digests_of_grid_ops(monkeypatch, tmp_path):
+    vd = _load(monkeypatch)
+    pool = [op for op in vd._pool("grid_fd", 3, 19, tmp_path)
+            if op["i"] in CHEAP_GRID_OPS]
+    assert len(pool) == len(CHEAP_GRID_OPS)
+    digests = vd.array_digests(pool)
+    # holonomy computes no node array
+    assert list(digests) == ["el_conv", "action_sym", "action_disc", "apath",
+                             "apath_tampered"]
+    assert [n for n, _ in digests.values()] == [2, 1, 1, 1, 1]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, d in digests.values())
+    assert vd.array_digests(pool) == digests
+    arrays = vd.grid_arrays(pool[0], vd.O.make_ctx("grid_fd"))
+    assert [label for label, _ in arrays][:2] == ["65:pi:x0", "65:pi:x1"]
+    assert all(isinstance(a, np.ndarray) for _, a in arrays)
+    # a value moved by a first-order stencil moves every stencil's digest
+    monkeypatch.setattr(
+        vd.sg, "_stencil",
+        lambda a, nodes, axis: a if not isinstance(a, np.ndarray)
+        else np.gradient(a, nodes, axis=axis, edge_order=1))
+    changed = vd.array_digests(pool)
+    assert changed["action_sym"] == digests["action_sym"]
+    assert all(changed[k] != digests[k] for k in digests if k != "action_sym")
+
+
+def test_array_sha_reads_every_zero_as_plus_zero(monkeypatch):
+    vd = _load(monkeypatch)
+    a = np.array([[0.0, 1.5], [-2.0, 0.0]])
+    signed = np.array([[-0.0, 1.5], [-2.0, -0.0]])
+    assert vd.array_sha(signed) == vd.array_sha(a)
+    assert vd.array_sha(np.nextafter(a, 1.0)) != vd.array_sha(a)
+    assert vd.array_sha(a.reshape(4)) != vd.array_sha(a)
+    assert vd.array_sha(vd._node_array(0, (2, 2))) == \
+        vd.array_sha(np.zeros((2, 2)))
