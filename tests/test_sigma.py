@@ -452,18 +452,6 @@ def test_node_perturbation_matches_residual_density():
 # ------------------------------------------------------ paths and holonomy
 
 
-def test_apath_check_accepts_transport_solutions():
-    J = sg.contact_pair(1)
-    c = ex.num("1/2")
-    s = ex.exp(ex.neg(ex.mul(c, U)))
-    path = sg.APath(
-        x={"x0": ex.num("1/10"), "x1": ex.num("1/5"),
-           "x2": ex.mul(ex.num("1/5"), ex.exp(ex.mul(c, U)))},
-        pi={"x0": ex.mul(c, s)}, s=s, z=0)
-    rep = sg.apath_check(J, path)
-    assert rep.ok and rep.max_defect <= 1e-4
-
-
 def _transport_paths():
     """Paths of contact_pair(1) that solve the transport equations: with
     pi = -ds/du along x0, x2 = (1/5)/s and z = dx0/du."""
@@ -479,6 +467,13 @@ def _transport_paths():
                         "x2": ex.div(ex.num("1/5"), s_sin)},
                      pi={"x0": ex.neg(ex.differentiate(s_sin, "u"))},
                      s=s_sin, z=ex.differentiate(x0, "u"))]
+
+
+def test_apath_check_accepts_transport_solutions():
+    J = sg.contact_pair(1)
+    for path in _transport_paths():
+        rep = sg.apath_check(J, path)
+        assert rep.ok and rep.max_defect <= 1e-4
 
 
 @pytest.mark.parametrize("path", _transport_paths())
