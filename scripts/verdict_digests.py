@@ -9,8 +9,10 @@ prints:
   op kind: the op count and a sha256 over each op's verdict and payload
   digest, as `perfbench/ops.py` computes them (or the error an op raised);
 * one line per CLI report in a fixed list (`check` on every shipped
-  structure, every built-in example, and `verify` plain, on a grid and with
-  the reduced variant): the exit code and the sha256 of the `--json` report;
+  structure, every built-in example, and `verify` plain, on a grid, on a
+  grid of several row blocks in the homogeneous and the constrained
+  variant, and with the reduced variant): the exit code and the sha256 of
+  the `--json` report;
 * one line per run of the grid scripts (`convergence_study.py` in both
   variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
   covers: the sha256 of what the script prints;
@@ -82,6 +84,12 @@ def cli_cases():
     cases += [("verify contact-k1", ["verify", *contact]),
               ("verify contact-k1 --grid 33x33",
                ["verify", *contact, "--grid", "33x33"]),
+              # sides neither equal nor 2^k + 1, over three row blocks
+              ("verify contact-k1 --grid 451x233",
+               ["verify", *contact, "--grid", "451x233"]),
+              ("verify constrained --grid 451x233",
+               ["verify", *contact, "--variant", "constrained",
+                "--grid", "451x233"]),
               ("verify moebius --variant reduced",
                ["verify", str(ROOT / "structures/moebius.ini"),
                 str(ROOT / "fields/moebius-null.ini"), "--variant", "reduced"])]

@@ -617,6 +617,10 @@ def _algebroid_dev(A, B, kw) -> float:
 
 
 def _grid_error(grid, err) -> str:
+    """One line for a guard that trips on the grid, or a grid whose arrays
+    do not fit in memory (MemoryError)."""
+    if isinstance(err, MemoryError):
+        return f"the {grid.nu}x{grid.nt} grid does not fit in memory"
     return (f"the field cannot be evaluated on the {grid.nu}x{grid.nt} "
             f"grid: {err}")
 
@@ -649,7 +653,7 @@ def cmd_verify(args, kw):
                 try:
                     rep_d = sg.el_residual(J, sg.sample_config(F, grid),
                                            variant=variant, **kw)
-                except ex.EvaluationError as err:
+                except (ex.EvaluationError, MemoryError) as err:
                     raise InputError(_grid_error(grid, err)) from err
                 except ValueError as err:
                     raise InputError(str(err)) from err
@@ -661,7 +665,7 @@ def cmd_verify(args, kw):
             grid = grid or sg.SurfaceGrid(t_extent=fld["t_extent"])
             try:
                 val = sg.action(J, F, "constrained", grid)
-            except ex.EvaluationError as err:
+            except (ex.EvaluationError, MemoryError) as err:
                 raise InputError(_grid_error(grid, err)) from err
             checks["action"] = {"variant": "constrained", "value": float(val)}
         if variant == "reduced":

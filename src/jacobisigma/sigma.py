@@ -27,7 +27,13 @@ u-components of the first two rows below.  Field expressions are sampled
 on the open (u, t) mesh, u as a column and t as a row, so a subtree in one
 of them is evaluated on that direction's nodes alone; broadcasting gives
 every element the same IEEE operation on the same inputs as the full mesh
-would, so no sampled value moves.
+would, so no sampled value moves.  The mesh is taken in blocks of whole
+rows of about 2^15 nodes (_grid_rows), on which expr evaluates each shared
+subtree once and reuses its temporaries in place, so the temporaries of
+a large tree such as an action density stay in cache; the symbolic action
+integrates block by block and keeps no full-size density.  A guard that
+trips in a block may not be the one the whole grid trips first, so the
+whole grid is then evaluated unblocked and what that raises is raised.
 
 The grid backend replaces every field component and structure coefficient
 whose node array is all zero (a zero base map, a missing pi component, a
@@ -89,7 +95,8 @@ def _check_t_extent(t_extent: float):
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Uniform tensor grid on [0,1] x [-t_extent, t_extent]."""
+    """Uniform tensor grid on [0,1] x [-t_extent, t_extent].  Equal and
+    hashed by its fields; its node arrays are built once, read-only."""
     nu: int = 65
     nt: int = 65
     t_extent: float = 1.0
@@ -99,13 +106,13 @@ class SurfaceGrid:
             raise ValueError("grid needs at least 3 nodes per direction")
         _check_t_extent(self.t_extent)
 
-    @property
+    @functools.cached_property
     def u_nodes(self):
-        return np.linspace(0.0, 1.0, self.nu)
+        return _read_only(np.linspace(0.0, 1.0, self.nu))
 
-    @property
+    @functools.cached_property
     def t_nodes(self):
-        return np.linspace(-self.t_extent, self.t_extent, self.nt)
+        return _read_only(np.linspace(-self.t_extent, self.t_extent, self.nt))
 
     @property
     def h_u(self):
@@ -117,6 +124,11 @@ class SurfaceGrid:
 
     def mesh(self):
         return np.meshgrid(self.u_nodes, self.t_nodes, indexing="ij")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def source_chart(t_extent: float = 1.0) -> Chart:
@@ -187,23 +199,58 @@ class DiscreteFieldConfiguration:
     require_boundary: bool = False
 
 
-def _grid_eval(e, grid: SurfaceGrid) -> np.ndarray:
-    """e at the grid nodes, shaped (nu, nt), equal to its evaluation on the
-    full mesh() arrays bit for bit.
+# nodes per row block of a grid evaluation: 256 KiB of float64 per
+# temporary, well inside a core's L2 cache
+_BLOCK_NODES = 1 << 15
 
-    u goes in as an (nu, 1) column and t as a (1, nt) row, so a subtree in
-    u alone costs nu values and one in t alone nt; numpy broadcasting makes
-    full-size arrays only where u and t meet, and a result in u or t alone
-    is broadcast to (nu, nt) once.  A full-size result is returned as it
-    is: a broadcasting operation built it, so nothing else holds it.  No
-    bit moves: each element still goes through the same IEEE operation on
-    the same inputs, and each guard tests the same set of values.
+
+def _grid_rows(e, grid: SurfaceGrid):
+    """Yield (rows, values): e on blocks of whole rows of the grid, as a
+    slice of the rows and values that broadcast to their shape, equal to
+    the evaluation on the full mesh() arrays bit for bit.  The rows are cut
+    into nu * nt // _BLOCK_NODES blocks (one at least) of equal row counts,
+    the last block taking what remains, so a block holds one to about two
+    times _BLOCK_NODES nodes, or one row where a row holds more.
+
+    u goes in as a column of the block's rows and t as the (1, nt) row, so
+    a subtree in u alone costs a value per row and one in t alone nt;
+    numpy broadcasting makes block-sized arrays only where u and t meet,
+    and expr evaluates each shared subtree once with its temporaries
+    reused in place, all within the cache.  No bit moves: each element
+    still goes through the same IEEE operation on the same inputs.
+
+    Blocking changes which guard trips first: when a block trips one (or
+    fails the final finiteness check), the whole grid is evaluated again
+    unblocked, and what that evaluation raises is raised.
     """
-    v = np.asarray(ex.evaluate(ex.coerce(e), {"u": grid.u_nodes[:, None],
-                                              "t": grid.t_nodes[None, :]}),
-                   float)
+    e = ex.coerce(e)
+    u, t = grid.u_nodes[:, None], grid.t_nodes[None, :]
+    step = -(-grid.nu // max(1, grid.nu * grid.nt // _BLOCK_NODES))
+    blocks = [slice(r0, min(r0 + step, grid.nu))
+              for r0 in range(0, grid.nu, step)]
+    values = ex._evaluate_blocks(e, ({"u": u[rows], "t": t} for rows in blocks))
+    for rows in blocks:
+        try:
+            v = next(values)
+        except ArithmeticError as err:
+            ex.evaluate(e, {"u": u, "t": t})
+            raise err
+        yield rows, v
+
+
+def _grid_eval(e, grid: SurfaceGrid) -> np.ndarray:
+    """e at the grid nodes as a fresh (nu, nt) array, filled block by block
+    (_grid_rows).  A single block of full shape is the array itself: a
+    broadcasting operation made it, so nothing else holds it."""
     shape = (grid.nu, grid.nt)
-    return v if v.shape == shape else np.broadcast_to(v, shape).copy()
+    out = None
+    for rows, v in _grid_rows(e, grid):
+        if out is None:
+            if np.shape(v) == shape:
+                return v
+            out = np.empty(shape)
+        out[rows] = v
+    return out
 
 
 def sample_config(F: FieldConfiguration, grid: SurfaceGrid
@@ -478,19 +525,26 @@ def action(structure, F, variant: str = "homogeneous",
         if variant != "constrained":
             if F.s is None:
                 raise ValueError(f"the {variant} action needs a scale field")
-            _check_node_scale(_grid_eval(F.s, grid), "on the grid")
-        dens = _action_density(J, F, variant)
-        vals = _grid_eval(dens.component("u", "t"), grid)
+            # each block's least and greatest node value: no full-size s
+            _check_node_scale([(np.min(v), np.max(v))
+                               for _, v in _grid_rows(F.s, grid)], "on the grid")
+        dens = _action_density(J, F, variant).component("u", "t")
+        # the t-quadrature block by block, so no full-size density array is
+        # kept; each row's sum is the one a full array gives
+        inner = np.empty(grid.nu)
+        for rows, v in _grid_rows(dens, grid):
+            v = np.broadcast_to(v, (rows.stop - rows.start, grid.nt))
+            inner[rows] = np.trapezoid(v, grid.t_nodes, axis=1)
     elif isinstance(F, DiscreteFieldConfiguration):
         if variant != "constrained" and F.s is not None:
             _check_node_scale(F.s, "on the grid")
         grid = F.grid
         vals = _full(_density(J, _sampled_fields(J, F), variant),
                      (grid.nu, grid.nt))
+        inner = np.trapezoid(vals, grid.t_nodes, axis=1)
     else:
         raise TypeError("expected a FieldConfiguration or "
                         "DiscreteFieldConfiguration")
-    inner = np.trapezoid(vals, grid.t_nodes, axis=1)
     return float(np.trapezoid(inner, grid.u_nodes))
 
 

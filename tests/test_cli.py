@@ -337,6 +337,21 @@ def test_verify_with_grid_adds_discrete_norms():
     assert "el_residual_grid" in out
 
 
+@pytest.mark.parametrize("variant", ["homogeneous", "constrained"])
+def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch, variant):
+    """A grid whose node arrays cannot be allocated ends in one line that
+    names the grid and exit code 2, not a traceback and exit 1 (a failed
+    check).  The allocation is made to fail; no large grid is built."""
+    def out_of_memory(e, grid):
+        raise MemoryError(f"Unable to allocate an array for {grid}")
+    monkeypatch.setattr(cli.sg, "_grid_rows", out_of_memory)
+    code, out, err = run("verify", fixture("structures/contact-k1.ini"),
+                         fixture("fields/contact-k1-solution.ini"),
+                         "--variant", variant, "--grid", "300x200")
+    assert code == 2, out + err
+    assert err == "error: the 300x200 grid does not fit in memory\n"
+
+
 def test_verify_morphism_against_algebroid():
     code, out, err = run("verify", fixture("structures/a10-algebroid.ini"),
                          fixture("fields/family1.ini"))

@@ -1,6 +1,7 @@
-"""Grid fields on the open (u, t) mesh, the zero marker of the grid
-backend and the RK4 scale transport, each against the full-array / scalar
-reference it replaced, bit for bit."""
+"""Grid fields on the open (u, t) mesh in row blocks, with shared subtrees
+evaluated once and temporaries reused in place, the zero marker of the
+grid backend and the RK4 scale transport, each against the full-array /
+scalar / plain recursive reference it replaced, bit for bit."""
 
 import functools
 import math
@@ -56,35 +57,195 @@ def _outcome(run):
             return ("raised", type(err), str(err))
 
 
-# ------------------------------------------------------ the open mesh
+@st.composite
+def shared_trees(draw, names):
+    """Trees that reference drawn subtree objects in several places: each
+    step combines two members of a growing pool, so a subtree object can
+    recur under one parent, across parents and at several depths."""
+    pool = draw(st.lists(trees(names), min_size=1, max_size=3))
+    binary = tuple(map(_or_first, (ex.add, ex.sub, ex.mul, ex.div)))
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(binary + (ex.sin, ex.cos, ex.exp, ex.log)))
+        pool.append(op((a, b)) if op in binary else op(a))
+    return pool[-1]
+
+
+def _reference(e, point):
+    """A plain recursion with the guards of expr.evaluate: every node
+    evaluated at every reference, into fresh arrays."""
+    def go(t):
+        if isinstance(t, ex.Num):
+            return float(t.value)
+        if isinstance(t, ex.Pi):
+            return math.pi
+        if isinstance(t, ex.Var):
+            try:
+                return point[t.name]
+            except KeyError:
+                raise ex.EvaluationError(f"no value for variable '{t.name}'",
+                                         point)
+        if isinstance(t, (ex.Add, ex.Mul)):
+            parts = t.terms if isinstance(t, ex.Add) else t.factors
+            acc = go(parts[0])
+            for u in parts[1:]:
+                acc = acc + go(u) if isinstance(t, ex.Add) else acc * go(u)
+            return acc
+        if isinstance(t, ex.Pow):
+            b = go(t.base)
+            if t.exponent < 0 and np.any(np.abs(b) < 1e-12):
+                raise ex.EvaluationError("negative power of a near-zero base",
+                                         point)
+            return b ** t.exponent
+        if isinstance(t, ex.Div):
+            a, b = go(t.num), go(t.den)
+            if np.any(np.abs(b) < 1e-12):
+                raise ex.EvaluationError("near-zero denominator", point)
+            return a / b
+        a = go(t.arg)
+        if t.fn == "exp" and np.any(np.asarray(a) > 700.0):
+            raise ex.EvaluationError("exp overflow", point)
+        if t.fn == "log" and np.any(np.asarray(a) <= 0):
+            raise ex.EvaluationError("log of a non-positive value", point)
+        return {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                "log": np.log}[t.fn](a)
+
+    out = go(e)
+    if isinstance(out, np.ndarray):
+        if not np.all(np.isfinite(out)):
+            raise ex.EvaluationError("non-finite result", point)
+        return out
+    out = float(out)
+    if not math.isfinite(out):
+        raise ex.EvaluationError("non-finite result", point)
+    return out
+
 
 def _full_mesh_eval(e, grid):
-    """The reference: e evaluated on the two full mesh() arrays."""
+    """The reference: e evaluated by _reference on the two full mesh()
+    arrays."""
     UU, TT = grid.mesh()
-    v = ex.evaluate(ex.coerce(e), {"u": UU, "t": TT})
+    v = _reference(ex.coerce(e), {"u": UU, "t": TT})
     return np.broadcast_to(np.asarray(v, float), UU.shape).copy()
 
 
-odd_sides = st.integers(1, 32).map(lambda k: 2 * k + 1)   # 3 .. 65
-
-
-@settings(max_examples=300, deadline=None)
-@given(trees(("u", "t")), odd_sides, odd_sides,
-       st.sampled_from((1.0, 0.7, 2.5)))
-def test_open_mesh_equals_full_mesh(e, nu, nt, t_extent):
-    if nu == nt:
-        nt = nu + 2 if nu < 65 else nu - 2
-    grid = sg.SurfaceGrid(nu, nt, t_extent)
-    got = _outcome(lambda: sg._grid_eval(e, grid))
-    want = _outcome(lambda: _full_mesh_eval(e, grid))
+def _assert_same_outcome(got, want, shape):
+    """Equal guard trips by type and message, or equal arrays to the bit,
+    -0.0 included."""
     assert got[0] == want[0], (got, want)
     if got[0] == "raised":
         assert got == want
         return
     a, b = got[1], want[1]
-    assert a.shape == b.shape == (nu, nt) and a.dtype == b.dtype
-    assert np.array_equal(a, b)
-    assert np.array_equal(a.view(np.int64), b.view(np.int64))   # -0.0 too
+    assert a.shape == b.shape == shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+odd_sides = st.integers(1, 32).map(lambda k: 2 * k + 1)   # 3 .. 65
+BLOCK = sg._BLOCK_NODES
+# one block; several blocks with sides of any parity, square or not; more
+# nodes per row than a block holds, so that every block is one row
+grid_sides = st.one_of(
+    st.tuples(odd_sides, odd_sides).filter(lambda s: s[0] != s[1]),
+    st.tuples(st.integers(100, 420), st.integers(90, 310)),
+    st.tuples(st.integers(3, 5), st.integers(BLOCK + 1, BLOCK + 700)))
+
+
+def _grid_case(e, sides, t_extent):
+    grid = sg.SurfaceGrid(*sides, t_extent)
+    _assert_same_outcome(_outcome(lambda: sg._grid_eval(e, grid)),
+                         _outcome(lambda: _full_mesh_eval(e, grid)), sides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(("u", "t")), grid_sides, st.sampled_from((1.0, 0.7, 2.5)))
+def test_open_mesh_equals_full_mesh(e, sides, t_extent):
+    _grid_case(e, sides, t_extent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees(("u", "t")), grid_sides, st.sampled_from((1.0, 0.7)))
+def test_shared_subtrees_equal_the_plain_recursion(e, sides, t_extent):
+    _grid_case(e, sides, t_extent)
+
+
+def test_grids_of_several_blocks_and_of_one_row_blocks():
+    """The strategies above reach several blocks and one-row blocks."""
+    for nu, nt, rows in ((420, 310, 140), (100, 90, 100), (3, BLOCK + 1, 1)):
+        grid = sg.SurfaceGrid(nu, nt)
+        blocks = [r for r, _ in sg._grid_rows(ex.ZERO, grid)]
+        assert blocks == [slice(r, min(r + rows, nu))
+                          for r in range(0, nu, rows)]
+
+
+def test_blocked_guard_trip_raises_what_the_whole_grid_raises():
+    """A block of small u trips the exp guard first; the whole grid trips
+    the near-zero denominator at u = 1 first, and that is what is
+    raised."""
+    e = ex.add(ex.div(1, U - 1), ex.exp(1000 * (ex.num("4/5") - U)))
+    for grid in (sg.SurfaceGrid(700, 65), sg.SurfaceGrid(1400, 65)):
+        first = next(sg._grid_rows(ex.ZERO, grid))[0]
+        block = {"u": grid.u_nodes[first, None], "t": grid.t_nodes[None, :]}
+        if first.stop < grid.nu:
+            with pytest.raises(ex.EvaluationError, match="exp overflow"):
+                ex.evaluate(e, block)
+        with pytest.raises(ex.EvaluationError,
+                           match="^near-zero denominator$"):
+            sg._grid_eval(e, grid)
+        _grid_case(e, (grid.nu, grid.nt), 1.0)
+    assert first.stop < grid.nu          # the second grid has two blocks
+
+
+def test_a_shared_subtree_is_evaluated_once(monkeypatch):
+    """On a large point a node object referenced three times runs once;
+    on a small one (a plain recursion) it runs at every reference."""
+    calls = []
+    unary = ex._Temps.unary
+    monkeypatch.setattr(ex._Temps, "unary", lambda self, uf, a:
+                        calls.append(uf) or unary(self, uf, a))
+    s = ex.sin(U * ex.var("t"))
+    e = ex.add(ex.mul(s, U), ex.mul(s, s))
+    for grid, runs in ((sg.SurfaceGrid(129, 65), 1), (sg.SurfaceGrid(9, 9), 0)):
+        calls.clear()
+        _grid_case(e, (grid.nu, grid.nt), 1.0)
+        assert calls == [np.sin] * runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_trees(("u", "t")), st.sampled_from(((70, 70), (65, 129))))
+def test_evaluate_reads_a_callers_arrays_only(e, shape):
+    """ex.evaluate on large read-only arrays (the result's own shape, so
+    writing into them would be possible) leaves them as they were and
+    equals the plain recursion."""
+    rng = np.random.default_rng(shape[0])
+    point = {"u": rng.uniform(-1.5, 1.5, shape), "t": rng.uniform(0.1, 2, shape)}
+    saved = {n: a.copy() for n, a in point.items()}
+    for a in point.values():
+        a.flags.writeable = False
+    got = _outcome(lambda: np.broadcast_to(ex.evaluate(e, point), shape))
+    want = _outcome(lambda: np.broadcast_to(_reference(e, point), shape))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    else:
+        assert got == want
+    for n, a in point.items():
+        assert np.array_equal(a.view(np.int64), saved[n].view(np.int64))
+
+
+def test_grid_nodes_are_built_once_and_read_only():
+    grid = sg.SurfaceGrid(9, 7, 1.5)
+    assert grid.u_nodes is grid.u_nodes and grid.t_nodes is grid.t_nodes
+    for a, want in ((grid.u_nodes, np.linspace(0.0, 1.0, 9)),
+                    (grid.t_nodes, np.linspace(-1.5, 1.5, 7))):
+        assert not a.flags.writeable
+        assert a.dtype == want.dtype
+        assert np.array_equal(a.view(np.int64), want.view(np.int64))
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    other = sg.SurfaceGrid(9, 7, 1.5)
+    assert grid == other and hash(grid) == hash(other)
+    assert {grid: 1}[other] == 1 and grid != sg.SurfaceGrid(9, 7, 1.0)
 
 
 def test_open_mesh_result_is_a_fresh_full_array():
