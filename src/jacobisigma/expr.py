@@ -8,7 +8,24 @@ analytic functions sin/cos/exp/log.  Rational arithmetic is exact
 Construction goes through the smart constructors (add, mul, pow_, div, ...)
 which flatten associative nests, fold rational constants, and drop identity
 elements.  The normal form is idempotent: rebuilding a normalized tree
-changes nothing.
+changes nothing.  add, mul and is_exact_zero test and fold constants on the
+integer numerator and denominator of their Fractions, not through Fraction
+arithmetic, and build the trees a Fraction fold builds.  The node classes
+check their invariants (a Num holds a Fraction, a sum or product has two
+operands or more, a power an int exponent, a function a known name) by
+raising TypeError or ValueError, so they hold under python -O too.
+
+A node keeps two things in its instance __dict__, outside its fields, so
+that ==, hash and repr do not see them; they live as long as the node, and
+no table outside the nodes holds anything.  A Num keeps its float from its
+first evaluation.  An inner node keeps its derivative per variable name,
+made by differentiate: a repeated call returns the same object, and a
+derivative that raises leaves nothing behind.  differentiate does not return
+0 early for a variable the tree lacks, so d log(0) still raises.  Equal trees
+that are distinct objects do not share a memo (there is no interning); the
+repeats are mostly of one object, such as a pair bracket that a Jacobi
+check differentiates for several triples, or a component of Lam that both
+Schouten brackets of the check differentiate.
 
 Numeric zero-testing (is_zero) samples a Halton sequence over a named box;
 the sample points are a pure function of (seed, trial index), so every run
@@ -132,7 +149,9 @@ class Num(Expression):
     value: Fraction
 
     def __post_init__(self):
-        assert isinstance(self.value, Fraction)
+        if not isinstance(self.value, Fraction):
+            raise TypeError(f"Num holds a Fraction, got "
+                            f"{type(self.value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +169,9 @@ class Add(Expression):
     terms: tuple
 
     def __post_init__(self):
-        assert len(self.terms) >= 2
+        if len(self.terms) < 2:
+            raise ValueError(f"Add needs at least two terms, got "
+                             f"{len(self.terms)}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,9 @@ class Mul(Expression):
     factors: tuple
 
     def __post_init__(self):
-        assert len(self.factors) >= 2
+        if len(self.factors) < 2:
+            raise ValueError(f"Mul needs at least two factors, got "
+                             f"{len(self.factors)}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +190,8 @@ class Pow(Expression):
     exponent: int
 
     def __post_init__(self):
-        assert isinstance(self.exponent, int)
+        if not isinstance(self.exponent, int):
+            raise TypeError(f"integer exponents only, got {self.exponent!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +206,8 @@ class Fn(Expression):
     arg: Expression
 
     def __post_init__(self):
-        assert self.fn in _FN_NAMES
+        if self.fn not in _FN_NAMES:
+            raise ValueError(f"unknown function {self.fn!r}")
 
 
 ExprLike = Union[Expression, int, float, Fraction]
@@ -220,16 +245,23 @@ def add(*terms: ExprLike) -> Expression:
     for t in terms:
         if not isinstance(t, Expression):
             t = coerce(t)
-        for u in (t.terms if isinstance(t, Add) else (t,)):
-            if not isinstance(u, Num):
+        for u in (t.terms if type(t) is Add else (t,)):
+            if type(u) is not Num:
                 out.append(u)
-            elif u.value != 0:
+            elif u.value.numerator:
                 consts.append(u)
-    if consts:     # a lone constant is kept as it is
-        c = (consts[0] if len(consts) == 1
-             else Num(sum(k.value for k in consts)))
-        if c.value != 0:
-            out.append(c)
+    if len(consts) == 1:    # a lone constant is kept as it is
+        out.append(consts[0])
+    elif consts:
+        n, d = 0, 1
+        for k in consts:
+            kn, kd = k.value.numerator, k.value.denominator
+            if kd == d:
+                n += kn
+            else:
+                n, d = n * kd + kn * d, d * kd
+        if n:
+            out.append(Num(Fraction(n, d)))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -242,18 +274,24 @@ def mul(*factors: ExprLike) -> Expression:
     for f in factors:
         if not isinstance(f, Expression):
             f = coerce(f)
-        for u in (f.factors if isinstance(f, Mul) else (f,)):
-            if not isinstance(u, Num):
+        for u in (f.factors if type(f) is Mul else (f,)):
+            if type(u) is not Num:
                 out.append(u)
-            elif u.value == 0:
+                continue
+            n = u.value.numerator
+            if not n:
                 return ZERO
-            elif u.value != 1:
+            if n != 1 or u.value.denominator != 1:
                 consts.append(u)
-    if consts:     # a lone constant is kept as it is
-        c = (consts[0] if len(consts) == 1
-             else Num(math.prod(k.value for k in consts)))
-        if c.value != 1:
-            out.insert(0, c)
+    if len(consts) == 1:    # a lone constant is kept as it is
+        out.insert(0, consts[0])
+    elif consts:
+        n, d = 1, 1
+        for k in consts:
+            n *= k.value.numerator
+            d *= k.value.denominator
+        if n != d:
+            out.insert(0, Num(Fraction(n, d)))
     if not out:
         return ONE
     if len(out) == 1:
@@ -331,7 +369,7 @@ def normalize(e: Expression) -> Expression:
 
 def is_exact_zero(e) -> bool:
     """True when e is the constant 0 itself (a structural test, no sampling)."""
-    return isinstance(e, Num) and e.value == 0
+    return type(e) is Num and not e.value.numerator
 
 
 def _has_var(e: Expression) -> bool:
@@ -374,10 +412,27 @@ def free_vars(e: Expression) -> frozenset:
 # ----- calculus -----
 
 def differentiate(e: Expression, name: str) -> Expression:
-    if isinstance(e, (Num, Pi)):
-        return ZERO
-    if isinstance(e, Var):
+    """d e / d name, memoised on an inner node per name (see the module
+    docstring)."""
+    cls = type(e)
+    if cls is Var:
         return ONE if e.name == name else ZERO
+    if cls is Num or cls is Pi:
+        return ZERO
+    memo = e.__dict__.get("_d")
+    if memo is None:
+        d = _derivative(e, name)
+        e.__dict__["_d"] = {name: d}
+        return d
+    d = memo.get(name)
+    if d is None:
+        d = memo[name] = _derivative(e, name)
+    return d
+
+
+def _derivative(e: Expression, name: str) -> Expression:
+    """The rule for d e / d name at an inner node; the children go through
+    differentiate, and its memo."""
     if isinstance(e, Add):
         return add(*[differentiate(t, name) for t in e.terms])
     # an exact-zero derivative makes an exact-zero term, which add drops:
@@ -516,7 +571,10 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
             except KeyError:
                 raise EvaluationError(f"no value for variable '{t.name}'", point)
         if cls is Num:
-            return float(t.value)
+            f = t.__dict__.get("_f")
+            if f is None:
+                f = t.__dict__["_f"] = float(t.value)
+            return f
         if cls is Mul:
             acc = val(t.factors[0])
             for u in t.factors[1:]:

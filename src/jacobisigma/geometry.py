@@ -303,7 +303,8 @@ def schouten(P: MultivectorField, Q: MultivectorField) -> MultivectorField:
         return _tensor(MultivectorField, P.chart, 0, {})
     sign = -((-1) ** ((p - 1) * (q - 1)))
     t1 = _half_bracket(P, Q)
-    t2 = _half_bracket(Q, P)
+    # the two halves of [P, P] are the same tables: build them once
+    t2 = t1 if Q is P else _half_bracket(Q, P)
     out = dict(t1)
     for k, v in t2.items():
         out[k] = ex.add(out.get(k, ex.ZERO), ex.mul(_sign(sign), v))

@@ -90,8 +90,10 @@ def bracket(J: JacobiPair, f, g) -> Expression:
 
 
 def _first_slot(J: JacobiPair, f: Expression):
-    """(Lam#(df), E(f)): what the bracket {f, .} needs of f."""
-    df = de_rham(form(J.chart, 0, {(): f}))
+    """(Lam#(df), E(f)): what the bracket {f, .} needs of f.  f is
+    smart-constructor output, so the trusted path gives the 0-form that
+    form() would."""
+    df = de_rham(geo._tensor(DifferentialForm, J.chart, 0, {(): f}))
     return sharp(J.lam, df), vector_apply(J.e, f)
 
 
@@ -133,9 +135,9 @@ def _jacobiators(J: JacobiPair):
 
     The parts that triples share are built once per call: the bracket of
     each ordered probe pair ({h, f} as bracket(h, f), never as -{f, h}, so
-    the trees match), its free variables, each partial derivative of a pair
-    bracket (the exact zero, unbuilt, for a coordinate it does not depend
-    on), and the _first_slot of each probe for the outer brackets."""
+    the trees match) and the _first_slot of each probe for the outer
+    brackets.  The partial derivatives of a pair bracket are memoised on
+    its node by differentiate."""
     names, fns = zip(*_jacobiator_probes(J))
     slots = [_first_slot(J, f) for f in fns]
 
@@ -145,19 +147,10 @@ def _jacobiators(J: JacobiPair):
         # the bracket work of jacobi_check through bracket()
         return bracket(J, fns[i], fns[j])
 
-    @cache
-    def free(i, j):              # the coordinates {f_i, f_j} depends on
-        return ex.free_vars(pair(i, j))
-
-    @cache
-    def partial(i, j, name):     # d{f_i, f_j} / d name
-        if name not in free(i, j):
-            return ex.ZERO
-        return ex.differentiate(pair(i, j), name)
-
     def outer(a, i, j):          # {f_a, {f_i, f_j}}
-        return _bracket(J, fns[a], slots[a], pair(i, j),
-                        lambda name: partial(i, j, name))
+        g = pair(i, j)
+        return _bracket(J, fns[a], slots[a], g,
+                        lambda name: ex.differentiate(g, name))
 
     for a, b, c in combinations(range(len(fns)), 3):
         yield ((names[a], names[b], names[c]),

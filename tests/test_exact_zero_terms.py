@@ -189,6 +189,19 @@ def test_wedge_and_schouten_build_the_reference_tensors(data):
         assert got == want
 
 
+@SETTINGS
+@given(st.data())
+def test_schouten_of_a_field_with_itself_builds_both_halves_alike(data):
+    # schouten(P, P) builds its half bracket once; a distinct copy of P
+    # takes the path that builds both halves
+    chart = data.draw(charts())
+    P = data.draw(tensors(chart, data.draw(st.integers(0, 3))))
+    copy = geo._tensor(type(P), chart, P.degree, dict(P.comps))
+    assert copy is not P
+    assert (outcome(lambda: items(geo.schouten(P, P)))
+            == outcome(lambda: items(geo.schouten(P, copy))))
+
+
 def test_schouten_keeps_a_slot_whose_first_product_is_zero():
     # [x0 d0, d0 + x0 d2] = -d0 + x0 d2.  The half bracket X(Y) meets (0,)
     # first, with the exact zero d(1)/dx0, so (0,) keeps its slot before
