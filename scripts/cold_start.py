@@ -8,6 +8,9 @@ seconds:
 * a bare interpreter (`python -c pass`);
 * `import numpy`;
 * `import jacobisigma.cli` (every module of the program);
+* the same import followed by `os._exit(0)`, which skips the interpreter's
+  teardown (the exit-time collection and the freeing of every module), so
+  its difference from the stage before is what teardown costs;
 * one `jsm check structures/contact-k1.ini`;
 * one `jsm example contact-k`.
 
@@ -40,6 +43,8 @@ STAGES = [
     ("python -c pass", ["-c", "pass"]),
     ("import numpy", ["-c", "import numpy"]),
     ("import jacobisigma.cli", ["-c", "import jacobisigma.cli"]),
+    ("import cli, os._exit(0)",
+     ["-c", "import os, jacobisigma.cli; os._exit(0)"]),
     ("jsm check contact-k1", CLI + ["check", "structures/contact-k1.ini"]),
     ("jsm example contact-k", CLI + ["example", "contact-k"]),
 ]

@@ -27,11 +27,11 @@ linear bivector under push_scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
+from ._records import record
 from . import geometry as geo
 from .geometry import Chart, DifferentialForm, MultivectorField, SmoothMap
 from . import jacobi
@@ -50,7 +50,7 @@ class LinearityError(ValueError):
 # structures
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlgebroidStructure:
     base: Chart
     generators: tuple
@@ -413,7 +413,7 @@ def _alg_of(target) -> AlgebroidStructure:
     return target.alg if isinstance(target, RxAlgebroid) else target
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VBMorphism:
     src: AlgebroidStructure
     dst: object                 # AlgebroidStructure or RxAlgebroid
@@ -470,7 +470,7 @@ def compose(outer: VBMorphism, inner: VBMorphism) -> VBMorphism:
                             inner.base_map.then(outer.base_map), fiber)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorphismReport:
     ok: bool
     base_residuals: dict    # dst coord -> AlgebroidForm (degree 1) on src
@@ -529,7 +529,7 @@ def morphism_check(phi: VBMorphism, *, tol=ex.DEFAULT_TOL,
 # scaling actions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RxAlgebroid:
     """An algebroid with a weighted scaling action: integer weights on the
     base chart plus one weight per generator."""
@@ -583,7 +583,7 @@ def cotangent_algebroid(hp: jacobi.HomogeneousPoisson, *, gen_prefix: str = "pi_
 # lifted morphisms into a scaled cotangent target
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LiftedMorphism:
     """A one-parameter family of morphisms obtained by scaling a morphism
     into an RxAlgebroid target: each component picks up param^weight."""
@@ -629,7 +629,7 @@ def lift_phi_to_psi(phi: VBMorphism, param: str = "nu") -> LiftedMorphism:
     return LiftedMorphism(phi, param)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class JacobiMorphismReport:
     ok: bool
     morphism: MorphismReport       # parameter fixed to 1

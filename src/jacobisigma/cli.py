@@ -9,7 +9,8 @@ strings (the grammar of the expr module).  Four commands:
   jsm example <name>                          run a built-in example
 
 Common flags: --json PATH --seed N --tol X --trials N --grid NxM, with
---trials at least 1 and --tol finite and not negative.
+--trials at least 1, --tol finite and not negative, and a grid of at most
+MAX_GRID_NODES nodes.
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
 JSON reports are deterministic for fixed inputs and seed.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import gc
 import json
 import math
 import os
@@ -69,6 +71,9 @@ from .jacobi import (JacobiPair, HomogeneousPoisson,  # noqa: E402
                      LineBundleAtlas, Overlap)
 
 STRUCTURE_KINDS = ("jacobi", "poisson", "algebroid", "atlas")
+# nodes of the largest --grid (2048x2048): a mistyped size is refused
+# instead of running for hours
+MAX_GRID_NODES = 1 << 22
 
 
 class InputError(Exception):
@@ -759,7 +764,11 @@ def _parse_grid(text, t_extent=1.0):
     if not m:
         raise InputError(f"bad grid spec {text!r}; expected NxM")
     try:
-        return sg.SurfaceGrid(int(m.group(1)), int(m.group(2)), t_extent)
+        nu, nt = int(m.group(1)), int(m.group(2))
+        if nu * nt > MAX_GRID_NODES:
+            raise InputError(f"grid {nu}x{nt} has {nu * nt} nodes, more "
+                             f"than the limit of {MAX_GRID_NODES}")
+        return sg.SurfaceGrid(nu, nt, t_extent)
     except ValueError as err:
         raise InputError(str(err)) from err
 
@@ -772,7 +781,9 @@ def _parser():
                         default=ex.DEFAULT_SEED)
     common.add_argument("--tol", type=float, default=ex.DEFAULT_TOL)
     common.add_argument("--trials", type=int, default=ex.DEFAULT_TRIALS)
-    common.add_argument("--grid", metavar="NxM", default=None)
+    common.add_argument("--grid", metavar="NxM", default=None,
+                        help=f"finite-difference grid of verify, at most "
+                             f"{MAX_GRID_NODES} nodes")
 
     p = argparse.ArgumentParser(
         prog="jsm", description="checks and derivations for Jacobi "
@@ -861,5 +872,16 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+def cli():
+    """`jsm` and `python -m jacobisigma.cli`: main on sys.argv, then exit.
+    The collector is frozen first, so that the interpreter's exit-time
+    collection does not walk every live object (numpy's and ours) that the
+    process frees on exit anyway.  main never freezes: tests and library
+    callers run it in their own process."""
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    cli()

@@ -64,13 +64,14 @@ import math
 import operator
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from typing import Iterable, Mapping, Union
 
 import numpy as np
+
+from ._records import record
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 64
@@ -105,8 +106,8 @@ class EvaluationError(ArithmeticError):
 
 
 class Expression:
-    """Base node.  Subclasses are frozen dataclasses; trees hash and compare
-    structurally."""
+    """Base node.  Subclasses are frozen records (see _records); trees
+    hash and compare structurally."""
 
     __slots__ = ()
 
@@ -144,70 +145,147 @@ class Expression:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+# The node classes with fields write __init__, __eq__ and __hash__ out:
+# they are the hot path of symbolic construction.  Each does what the
+# methods of @dataclass(frozen=True) do (fields stored through
+# object.__setattr__, == on the tuple of the fields of two nodes of the
+# same class, the hash of that tuple); @record adds the repr and refuses
+# assignment.
+
+@record(frozen=True)
 class Num(Expression):
     value: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
+    def __init__(self, value):
+        if not isinstance(value, Fraction):
             raise TypeError(f"Num holds a Fraction, got "
-                            f"{type(self.value).__name__}")
+                            f"{type(value).__name__}")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pi(Expression):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(Expression):
     name: str
 
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+@record(frozen=True)
 class Add(Expression):
     terms: tuple
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __init__(self, terms):
+        if len(terms) < 2:
             raise ValueError(f"Add needs at least two terms, got "
-                             f"{len(self.terms)}")
+                             f"{len(terms)}")
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mul(Expression):
     factors: tuple
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors):
+        if len(factors) < 2:
             raise ValueError(f"Mul needs at least two factors, got "
-                             f"{len(self.factors)}")
+                             f"{len(factors)}")
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors,) == (other.factors,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int):
-            raise TypeError(f"integer exponents only, got {self.exponent!r}")
+    def __init__(self, base, exponent):
+        if not isinstance(exponent, int):
+            raise TypeError(f"integer exponents only, got {exponent!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Div(Expression):
     num: Expression
     den: Expression
 
+    def __init__(self, num, den):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+
+@record(frozen=True)
 class Fn(Expression):
     fn: str
     arg: Expression
 
-    def __post_init__(self):
-        if self.fn not in _FN_NAMES:
-            raise ValueError(f"unknown function {self.fn!r}")
+    def __init__(self, fn, arg):
+        if fn not in _FN_NAMES:
+            raise ValueError(f"unknown function {fn!r}")
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fn, self.arg))
 
 
 ExprLike = Union[Expression, int, float, Fraction]
@@ -589,7 +667,15 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
             b = val(t.base)
             if t.exponent < 0 and np.any(np.abs(b) < _DIV_EPS):
                 raise EvaluationError("negative power of a near-zero base", point)
-            return power(b, t.exponent)
+            if type(b) is np.float64:
+                # a scalar from sin/cos/exp/log: raised as a Python float,
+                # the same libm pow, which raises OverflowError where
+                # numpy's scalar power warns
+                b = float(b)
+            try:
+                return power(b, t.exponent)
+            except OverflowError:
+                raise EvaluationError("power overflow", point) from None
         if cls is Div:
             a, b = val(t.num), val(t.den)
             if np.any(np.abs(b) < _DIV_EPS):

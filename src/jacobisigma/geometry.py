@@ -26,10 +26,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Union
 
 from . import expr as ex
+from ._records import record
 from .expr import Expression
 
 
@@ -38,7 +39,7 @@ class ChartError(ValueError, AssertionError):
     when charts were validated by assert."""
 
 
-@dataclass
+@record
 class Chart:
     names: tuple
     box: dict = field(default_factory=dict)      # name -> (lo, hi)
@@ -368,7 +369,7 @@ def tangent_lift(P: MultivectorField, tchart: Chart = None,
 
 # ----- smooth maps, pullback, pushforward -----
 
-@dataclass
+@record
 class SmoothMap:
     src: Chart
     dst: Chart

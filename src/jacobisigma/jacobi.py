@@ -32,7 +32,7 @@ z E, -E(p)): v^n = Lam^{mn} p_m + E^n z and t = -E^m p_m.  Every caller
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cache
 from itertools import combinations
 from typing import Mapping
@@ -40,6 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as ex
+from ._records import record
 from . import geometry as geo
 from .expr import Expression
 from .geometry import (Chart, DifferentialForm, MultivectorField, SmoothMap,
@@ -63,7 +64,7 @@ class JacobiPairError(ValueError, AssertionError):
     assert."""
 
 
-@dataclass
+@record
 class JacobiPair:
     chart: Chart
     lam: MultivectorField
@@ -157,7 +158,7 @@ def _jacobiators(J: JacobiPair):
                ex.add(outer(a, b, c), outer(b, c, a), outer(c, a, b)))
 
 
-@dataclass
+@record
 class JacobiCheckReport:
     ok: bool
     res_e_lam: MultivectorField
@@ -210,7 +211,7 @@ def jacobi_check(J: JacobiPair, *, tol: float = ex.DEFAULT_TOL,
 
 # ----- homogeneous Poisson side -----
 
-@dataclass
+@record
 class HomogeneousPoisson:
     chart: Chart                 # base chart extended by the fibre coordinate
     pi: MultivectorField
@@ -283,7 +284,7 @@ def poissonize(J: JacobiPair, s_name: str = "s",
 
 # ----- pointwise maps between the jet and derivation pictures -----
 
-@dataclass
+@record
 class JetPoint:
     """A 1-jet style point: base coordinates, covector components, and the
     extra scalar z."""
@@ -297,7 +298,7 @@ class JetPoint:
         self.z = ex.coerce(self.z)
 
 
-@dataclass
+@record
 class DerPoint:
     """A derivation-style point: base coordinates, vector components, and
     the extra scalar t."""
@@ -387,7 +388,7 @@ def jet_bracket(J: JacobiPair, af, bg):
 
 # ----- line-bundle atlases -----
 
-@dataclass
+@record
 class Overlap:
     """A glued region between two atlas charts.
 
@@ -406,13 +407,13 @@ class Overlap:
         self.g = ex.coerce(self.g)
 
 
-@dataclass
+@record
 class LineBundleAtlas:
     charts: dict                  # name -> JacobiPair
     overlaps: list = field(default_factory=list)
 
 
-@dataclass
+@record
 class AtlasReport:
     ok: bool
     chart_checks: dict            # name -> bool (jacobi residuals)

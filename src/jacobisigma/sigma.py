@@ -66,12 +66,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import expr as ex
+from ._records import record
 from . import geometry as geo
 from . import jacobi as jac
 from . import algebroid as alg
@@ -93,7 +94,7 @@ def _check_t_extent(t_extent: float):
                          f"got {t_extent}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SurfaceGrid:
     """Uniform tensor grid on [0,1] x [-t_extent, t_extent].  Equal and
     hashed by its fields; its node arrays are built once, read-only."""
@@ -149,7 +150,7 @@ def _zero1(chart: Chart) -> DifferentialForm:
 
 # ------------------------------------------------------- configurations
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldConfiguration:
     """Symbolic surface fields: X^i, s, momentum 1-forms, and z.
 
@@ -186,7 +187,7 @@ class FieldConfiguration:
         return self.pi.get(name, _zero1(self.chart))
 
 
-@dataclass
+@record
 class DiscreteFieldConfiguration:
     """Sampled surface fields on a SurfaceGrid (arrays shaped (nu, nt))."""
     grid: SurfaceGrid
@@ -577,7 +578,7 @@ def _s_min_symbolic(F: FieldConfiguration, *,
 
 # --------------------------------------------------- stationarity system
 
-@dataclass
+@record
 class ELReport:
     mode: str                 # "symbolic" or "discrete"
     variant: str
@@ -645,7 +646,7 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
 
 # ------------------------------------------------------------ A-paths
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class APath:
     """A path datum on [0,1]: base curve x, scale s, momentum components
     pi (du-coefficients), and z.  Entries may be Expressions in u or
@@ -657,7 +658,7 @@ class APath:
     n: int = 257
 
 
-@dataclass
+@record
 class APathReport:
     ok: bool
     max_defect: float
@@ -789,7 +790,7 @@ SCALE_BOX = (0.5, 2.0)
 X_BOX = (-0.45, 0.45)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ex1Groupoid:
     """The scaling groupoid over a contact chart.
 
@@ -877,7 +878,7 @@ def ex1_groupoid(k: int = 0) -> Ex1Groupoid:
                        alpha, beta, mult, omega0, omega, theta_c)
 
 
-@dataclass
+@record
 class GroupoidReport:
     ok: bool
     k: int
@@ -1129,7 +1130,7 @@ def family_two_morphism(f=None, c=0, y_profile=None) -> alg.VBMorphism:
 
 # -------------------------------------------------------- example gallery
 
-@dataclass
+@record
 class ExamplePackage:
     name: str
     kind: str                 # "jacobi" | "atlas" | "morphism" | "groupoid"

@@ -352,6 +352,31 @@ def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch, variant):
     assert err == "error: the 300x200 grid does not fit in memory\n"
 
 
+@pytest.mark.parametrize("variant", ["homogeneous", "constrained"])
+def test_a_grid_over_the_node_limit_is_refused_at_once(variant):
+    """A mistyped --grid is refused before anything is allocated, with one
+    line and exit 2.  The child runs under a timeout, so a grid that is
+    worked through makes this test fail, not hang."""
+    out = subprocess.run([sys.executable, "-m", "jacobisigma.cli", "verify",
+                          fixture("structures/contact-k1.ini"),
+                          fixture("fields/contact-k1-solution.ini"),
+                          "--variant", variant, "--grid", "100000x100000"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == ("error: grid 100000x100000 has 10000000000 nodes, "
+                          f"more than the limit of {cli.MAX_GRID_NODES}\n")
+
+
+def test_the_grid_limit_admits_every_shipped_grid():
+    assert cli.MAX_GRID_NODES >= 2048 * 2048
+    assert cli._parse_grid("2048x2048").nu == 2048
+    with pytest.raises(cli.InputError, match="more than the limit"):
+        cli._parse_grid("2048x2049")
+    with pytest.raises(cli.InputError, match="more than the limit"):
+        cli._parse_grid("3x" + "9" * 100)
+
+
 def test_verify_morphism_against_algebroid():
     code, out, err = run("verify", fixture("structures/a10-algebroid.ini"),
                          fixture("fields/family1.ini"))

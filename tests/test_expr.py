@@ -150,6 +150,26 @@ def test_evaluate_missing_variable():
         ex.evaluate(ex.var("x"), {})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e, x", [
+    (ex.pow_(ex.add(ex.var("x"), 1), 200), 1e5),      # a float's power
+    (ex.pow_(ex.exp(ex.var("x")), 200), 5.0),         # a numpy scalar's
+    (ex.pow_(ex.mul(ex.var("x"), ex.var("x")), -40), 1e-5)])
+def test_a_scalar_power_that_overflows_is_one_evaluation_error(e, x):
+    with pytest.raises(ex.EvaluationError, match="^power overflow$") as err:
+        ex.evaluate(e, {"x": x})
+    assert err.value.point == {"x": x}
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampling_a_power_that_overflows_names_the_point():
+    e = ex.pow_(ex.exp(ex.var("x")), 200)
+    with pytest.raises(ex.EvaluationError, match="power overflow") as err:
+        ex.max_abs(e, {"x": (4.0, 6.0)})
+    assert ex.evaluate(e, {"x": 3.0}) == float(np.exp(3.0)) ** 200
+    assert err.value.point["x"] > 3.5
+
+
 # ----- sampling -----
 
 def test_halton_deterministic():
