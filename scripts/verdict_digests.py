@@ -9,7 +9,7 @@ prints:
   op kind: the op count and a sha256 over each op's verdict and payload
   digest, as `perfbench/ops.py` computes them (or the error an op raised);
 * one line per CLI report in a fixed list (`check` on every shipped
-  structure, every built-in example, and `verify` plain, on a grid, on a
+  structure and on contact-k1 with 4096 trials, every built-in example, and `verify` plain, on a grid, on a
   grid of several row blocks in the homogeneous and the constrained
   variant, and with the reduced variant): the exit code and the sha256 of
   the `--json` report;
@@ -78,6 +78,11 @@ def cli_cases():
     """[(label, argv)] of the fixed CLI report list, paths from the root."""
     cases = [(f"check {p.name}", ["check", str(p)])
              for p in sorted((ROOT / "structures").glob("*.ini"))]
+    # 4096 trials: a sample set as large as a grid block, on the one plain
+    # array pass every sampled check takes
+    cases += [("check contact-k1.ini --trials 4096",
+               ["check", str(ROOT / "structures/contact-k1.ini"),
+                "--trials", "4096"])]
     cases += [(f"example {n}", ["example", n]) for n in sg.BUILTIN_EXAMPLES]
     contact = [str(ROOT / "structures/contact-k1.ini"),
                str(ROOT / "fields/contact-k1-solution.ini")]

@@ -48,24 +48,22 @@ sin/cos/exp/log round the same way on arrays as on scalars; numpy's SIMD
 power does not match libm pow in the last bit, so the sampling pass raises
 each element with Python's ** (libm), the power a scalar evaluation uses.
 
-Evaluation on large arrays (grids, whose arrays broadcast to _REUSE_MIN
-elements or more) shares work within one call: a node object that a tree
-references several times is evaluated once and its value held until its
-last reference reads it, and an operation writes its result into an
-operand this evaluation made and nothing else holds, instead of a fresh
-array.  Values and guard trips are those of the plain recursion, bit for
-bit; callers' arrays are only read.  sigma evaluates grids in blocks of
-rows through _evaluate_blocks, so these temporaries stay cache-sized.
+Evaluation is one recursion over the tree, on floats or broadcasting
+numpy arrays.  A caller that evaluates a tree with shared subtrees on
+large arrays (sigma, on the row blocks of a grid) passes the tree's
+_shared_nodes: a node object referenced several times is then evaluated
+once and its value held until its last reference reads it.  Which trees
+and points are worth that is the caller's choice; the values and guard
+trips are those of the plain recursion, bit for bit, and callers' arrays
+are only read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import OrderedDict
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 from typing import Iterable, Mapping, Union
 
@@ -572,16 +570,6 @@ def substitute(e: Expression, repl: Mapping[str, ExprLike]) -> Expression:
 _DIV_EPS = 1e-12
 _EXP_MAX = 700.0
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
-# sum, product, quotient: the operator, and the ufunc that can take out=
-_BINARY = ((operator.add, np.add), (operator.mul, np.multiply),
-           (operator.truediv, np.divide))
-
-# A point whose arrays broadcast to at least this many elements is large:
-# a tree with a shared subtree is evaluated on it with shared subtrees and
-# in-place temporaries (see _evaluate); on smaller points that bookkeeping
-# would cost more than it saves.
-_REUSE_MIN = 4096
-_F64 = np.dtype(float)
 
 
 def evaluate(e: Expression, point: Mapping[str, object]):
@@ -589,58 +577,45 @@ def evaluate(e: Expression, point: Mapping[str, object]):
 
     Scalar inputs give a float back; array inputs broadcast.  Raises
     EvaluationError on near-zero denominators, non-positive log arguments,
-    exp overflow, or a missing variable.  The point's arrays are only read,
-    so read-only arrays are accepted.
+    exp overflow, a result that overflows, or a missing variable.  The
+    point's arrays are only read, so read-only arrays are accepted.
     """
-    return _evaluate(e, point, operator.pow, _reuse_plan(e, point))
+    return _evaluate(e, point, _np_pow)
 
 
-def _evaluate_blocks(e: Expression, points):
-    """evaluate(e, p) for each of the points in turn, as a generator, for
-    points that are blocks of one grid: whether to share and reuse, and
-    which nodes are shared, is found once, on the first."""
-    plan = None
-    for i, p in enumerate(points):
-        if i == 0:
-            plan = _reuse_plan(e, p)
-        yield _evaluate(e, p, operator.pow, plan)
+def _np_pow(b: np.ndarray, k: int) -> np.ndarray:
+    """b ** k by numpy's power: an overflow is inf, which the finiteness
+    check of _evaluate raises, without numpy's warning."""
+    with np.errstate(over="ignore"):
+        return b ** k
 
 
-def _libm_pow(b, k: int):
+def _libm_pow(b: np.ndarray, k: int) -> np.ndarray:
     """b ** k with Python floats, one element at a time: libm pow, the power
     a scalar evaluation uses.  numpy's SIMD power can differ in the last bit."""
-    if isinstance(b, np.ndarray):
-        return np.array([v ** k for v in b.tolist()], dtype=float)
-    return b ** k
+    return np.array([v ** k for v in b.tolist()], dtype=float)
 
 
 def _evaluate(e: Expression, point: Mapping[str, object], power,
-              plan: dict):
-    """The evaluation core; `power(base, k)` raises a value to an integer.
+              shared: dict = None):
+    """The evaluation core; `power(base, k)` raises an array to an integer
+    (_np_pow or _libm_pow), while a scalar is raised as a Python float.
 
-    One dispatch, go, gives a node its value from its children's values,
-    which it asks of val, and holds every guard.  val is go itself, a plain
-    recursion, unless plan (see _reuse_plan) names shared nodes.  Then
-    _Temps serves val and the arithmetic:
+    go gives a node its value from its children's values, which it asks
+    of val, and holds every guard.  val is go itself, a plain recursion,
+    unless shared (see _shared_nodes) maps node ids to their references:
+    then a node referenced k times (by identity, not by structure) is
+    evaluated at its first reference and its value held until the last
+    one reads it, so memory follows the values live at once, not the size
+    of the tree.  Every operation makes a fresh value, so a held value is
+    never written; the values and the first guard to trip are those of the
+    plain recursion, bit for bit.
 
-    * a node object referenced k times (by identity, not by structure) is
-      evaluated once, at its first reference; its value is held until the
-      last one reads it and dropped then, so memory follows the values
-      live at once, not the size of the tree;
-    * a sum, product, quotient or sin/cos/exp/log writes its result into an
-      operand (numpy's out=) when that operand is a float64 array this
-      evaluation made, nothing else holds it, and it has the result's
-      shape: never a caller's array, a held value or a numpy scalar.  A
-      power is computed out of place.
-
-    Each element goes through the same IEEE operation on the same
-    operands, in the same order, as in the plain recursion, so every
-    value, signed zeros included, and the first guard to trip are the
-    plain recursion's.
+    A scalar from sin/cos/exp/log is turned into a Python float, whose
+    arithmetic overflows to inf without numpy's warning and whose power
+    raises OverflowError; an overflow on an array is inf too.  Either way
+    one EvaluationError is raised.
     """
-    plus, times, quot = operator.add, operator.mul, operator.truediv
-    fns = _UFUNCS
-
     def go(t):
         cls = type(t)
         if cls is Var:
@@ -656,54 +631,54 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
         if cls is Mul:
             acc = val(t.factors[0])
             for u in t.factors[1:]:
-                acc = times(acc, val(u))
+                acc = acc * val(u)
             return acc
         if cls is Add:
             acc = val(t.terms[0])
             for u in t.terms[1:]:
-                acc = plus(acc, val(u))
+                acc = acc + val(u)
             return acc
         if cls is Pow:
             b = val(t.base)
             if t.exponent < 0 and np.any(np.abs(b) < _DIV_EPS):
                 raise EvaluationError("negative power of a near-zero base", point)
-            if type(b) is np.float64:
-                # a scalar from sin/cos/exp/log: raised as a Python float,
-                # the same libm pow, which raises OverflowError where
-                # numpy's scalar power warns
-                b = float(b)
-            try:
+            if type(b) is np.ndarray:
                 return power(b, t.exponent)
+            try:
+                return float(b) ** t.exponent
             except OverflowError:
                 raise EvaluationError("power overflow", point) from None
         if cls is Div:
             a, b = val(t.num), val(t.den)
             if np.any(np.abs(b) < _DIV_EPS):
                 raise EvaluationError("near-zero denominator", point)
-            return quot(a, b)
+            return a / b
         if cls is Fn:
             a = val(t.arg)
             if t.fn == "exp" and np.any(np.asarray(a) > _EXP_MAX):
                 raise EvaluationError("exp overflow", point)
             if t.fn == "log" and np.any(np.asarray(a) <= 0):
                 raise EvaluationError("log of a non-positive value", point)
-            return fns[t.fn](a)
+            r = _UFUNCS[t.fn](a)
+            return r if type(r) is np.ndarray else float(r)
         if cls is Pi:
             return math.pi
         raise TypeError(cls)
 
     val = go
-    if plan:
-        temps = _Temps(power, dict(plan))
-        plus, times, quot = (partial(temps.binary, *ops) for ops in _BINARY)
-        fns = {name: partial(temps.unary, uf) for name, uf in _UFUNCS.items()}
-        power, val = temps.pow, temps.sharing(go)
-        try:
-            out = go(e)
-        finally:
-            temps.free.clear()      # nothing of it outlives the call
-    else:
-        out = go(e)
+    if shared:
+        left, held = dict(shared), {}
+
+        def val(t):
+            k = id(t)
+            n = left.get(k)
+            if n is None:
+                return go(t)
+            v = held.pop(k) if k in held else go(t)
+            if n > 1:
+                left[k], held[k] = n - 1, v
+            return v
+    out = go(e)
     if isinstance(out, np.ndarray):
         if not np.all(np.isfinite(out)):
             raise EvaluationError("non-finite result", point)
@@ -712,40 +687,6 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
     if not math.isfinite(out):
         raise EvaluationError("non-finite result", point)
     return out
-
-
-def _reuse_plan(e: Expression, point: Mapping[str, object]):
-    """{id(node): references} over the inner nodes e references more than
-    once, when the point's arrays broadcast to _REUSE_MIN elements or more;
-    else None, and _evaluate runs a plain recursion.  On a tree without a
-    shared node (a field component, a structure coefficient) the
-    bookkeeping costs more than in-place reuse alone saves, so such a tree
-    runs plainly too."""
-    return _shared_nodes(e) if _broadcast_size(point) >= _REUSE_MIN else None
-
-
-def _broadcast_size(point: Mapping[str, object]) -> int:
-    """The number of elements the point's arrays broadcast to (1 without
-    an array)."""
-    shape = ()
-    for v in point.values():
-        if isinstance(v, np.ndarray) and v.shape != shape:
-            shape = _broadcast_shape(shape, v.shape)
-    return math.prod(shape)
-
-
-def _broadcast_shape(a: tuple, b: tuple) -> tuple:
-    """The shape numpy broadcasts shapes a and b to, assuming they do."""
-    if len(a) < len(b):
-        a, b = b, a
-    k = len(a) - len(b)
-    return a[:k] + tuple(map(max, a[k:], b))
-
-
-def _holds(o: np.ndarray, other) -> bool:
-    """Does o have the shape o and other broadcast to?"""
-    s = getattr(other, "shape", ())
-    return s == o.shape or not s or _broadcast_shape(o.shape, s) == o.shape
 
 
 def _shared_nodes(e: Expression) -> dict:
@@ -775,66 +716,6 @@ def _shared_nodes(e: Expression) -> dict:
 
     visit(e)
     return {k: n for k, n in refs.items() if n > 1}
-
-
-class _Temps:
-    """The values of one evaluation with reuse (see _evaluate).
-
-    uses maps the id of each node referenced more than once to its
-    references not yet read, and held its value once evaluated.  free
-    maps id(a) to a for each float64 array a this evaluation made that
-    nothing else refers to: an operation's result on its way into the
-    next operation, which takes its operands out (they are consumed) and
-    puts its own result in.  A held value never enters free: an earlier
-    reference to it may still wait in an enclosing node for its operation.
-    The references in held and free keep each id unique while there.
-    """
-    __slots__ = ("power", "uses", "held", "free")
-
-    def __init__(self, power, uses: dict):
-        self.power, self.uses, self.held, self.free = power, uses, {}, {}
-
-    def sharing(self, go):
-        """val for go: a node referenced more than once is evaluated at
-        its first reference and held until its last."""
-        uses, held, free = self.uses, self.held, self.free
-
-        def val(t):
-            k = id(t)
-            left = uses.get(k)
-            if left is None:
-                return go(t)
-            v = held.get(k)
-            if v is None:
-                v = held[k] = go(t)
-                free.pop(id(v), None)
-            if left == 1:
-                del uses[k], held[k]
-            else:
-                uses[k] = left - 1
-            return v
-        return val
-
-    def _keep(self, r):
-        if type(r) is np.ndarray and r.dtype is _F64:
-            self.free[id(r)] = r
-        return r
-
-    def binary(self, op, ufunc, a, b):
-        """op(a, b), into a or b where free holds it and it has the
-        result's shape; a and b leave free."""
-        o, ob = self.free.pop(id(a), None), self.free.pop(id(b), None)
-        if o is None or not _holds(o, b):
-            o = ob if ob is not None and _holds(ob, a) else None
-        return self._keep(op(a, b) if o is None else ufunc(a, b, out=o))
-
-    def unary(self, ufunc, a):
-        o = self.free.pop(id(a), None)
-        return self._keep(ufunc(a) if o is None else ufunc(a, out=o))
-
-    def pow(self, b, k: int):
-        self.free.pop(id(b), None)
-        return self._keep(self.power(b, k))
 
 
 # ----- quasi-random zero testing -----
@@ -1010,8 +891,7 @@ def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
     evaluation there raises.
     """
     try:
-        v = _evaluate(e, cols, _libm_pow,
-                      _shared_nodes(e) if n >= _REUSE_MIN else None)
+        v = _evaluate(e, cols, _libm_pow)
     except ArithmeticError:
         # a guard, a variable cols lacks, or OverflowError from a libm power
         return (evaluate(e, p) for p in _point_dicts(cols, n))

@@ -330,7 +330,9 @@ def sharp_terms(J: JacobiPair):
 def j_sharp(J: JacobiPair, pt: JetPoint) -> DerPoint:
     """(x, p, z) |-> (x, Lam(x)(p, .) + z E(x), -E(x)(p))."""
     names = J.chart.names
-    assert set(pt.base) == set(names) and set(pt.p) <= set(names)
+    if set(pt.base) != set(names) or not set(pt.p) <= set(names):
+        raise ValueError(f"a jet point needs a base over {names} and "
+                         f"momenta among them")
     v_terms, t_terms = sharp_terms(J)
 
     def total(terms):
@@ -347,7 +349,8 @@ def pairing_L(der: DerPoint, jet: JetPoint) -> Expression:
     """<(x, v, t), (x, p, z)> = v.p + t z; both points must share the base."""
     for k, val in der.base.items():
         other = ex.normalize(jet.base[k])
-        assert ex.normalize(val) == other, f"base mismatch at {k}"
+        if ex.normalize(val) != other:
+            raise ValueError(f"base mismatch at {k}")
     parts = [ex.mul(v, jet.p.get(n, ex.ZERO)) for n, v in der.v.items()]
     parts.append(ex.mul(der.t, jet.z))
     return ex.add(*parts)
@@ -368,7 +371,8 @@ def jet_bracket(J: JacobiPair, af, bg):
     """
     alpha, f = af
     beta, g = bg
-    assert alpha.degree == 1 and beta.degree == 1
+    if alpha.degree != 1 or beta.degree != 1:
+        raise ValueError("jet_bracket takes sections whose forms are 1-forms")
     f, g = ex.coerce(f), ex.coerce(g)
     lam, E = J.lam, J.e
     sh_a, sh_b = sharp(lam, alpha), sharp(lam, beta)

@@ -27,13 +27,14 @@ u-components of the first two rows below.  Field expressions are sampled
 on the open (u, t) mesh, u as a column and t as a row, so a subtree in one
 of them is evaluated on that direction's nodes alone; broadcasting gives
 every element the same IEEE operation on the same inputs as the full mesh
-would, so no sampled value moves.  The mesh is taken in blocks of whole
-rows of about 2^15 nodes (_grid_rows), on which expr evaluates each shared
-subtree once and reuses its temporaries in place, so the temporaries of
-a large tree such as an action density stay in cache; the symbolic action
-integrates block by block and keeps no full-size density.  A guard that
-trips in a block may not be the one the whole grid trips first, so the
-whole grid is then evaluated unblocked and what that raises is raised.
+would, so no sampled value moves.  A field component is one such pass
+(_grid_eval).  The symbolic action density, a large tree that repeats the
+field subtrees, is evaluated in blocks of whole rows of about 2^15 nodes
+(_grid_rows): its shared subtrees are found once per grid and each is
+evaluated once per block, so the temporaries stay in cache, and the action
+integrates block by block with no full-size density.  A guard that trips
+in a block may not be the one the whole grid trips first, so the whole
+grid is then evaluated unblocked and what that raises is raised.
 
 The grid backend replaces every field component and structure coefficient
 whose node array is all zero (a zero base map, a missing pi component, a
@@ -211,14 +212,10 @@ def _grid_rows(e, grid: SurfaceGrid):
     the evaluation on the full mesh() arrays bit for bit.  The rows are cut
     into nu * nt // _BLOCK_NODES blocks (one at least) of equal row counts,
     the last block taking what remains, so a block holds one to about two
-    times _BLOCK_NODES nodes, or one row where a row holds more.
-
-    u goes in as a column of the block's rows and t as the (1, nt) row, so
-    a subtree in u alone costs a value per row and one in t alone nt;
-    numpy broadcasting makes block-sized arrays only where u and t meet,
-    and expr evaluates each shared subtree once with its temporaries
-    reused in place, all within the cache.  No bit moves: each element
-    still goes through the same IEEE operation on the same inputs.
+    times _BLOCK_NODES nodes, or one row where a row holds more.  This is
+    for large trees with shared subtrees, such as an action density: the
+    shared nodes are found once per grid, each is evaluated once per block,
+    and the temporaries of a block stay in cache.
 
     Blocking changes which guard trips first: when a block trips one (or
     fails the final finiteness check), the whole grid is evaluated again
@@ -227,12 +224,11 @@ def _grid_rows(e, grid: SurfaceGrid):
     e = ex.coerce(e)
     u, t = grid.u_nodes[:, None], grid.t_nodes[None, :]
     step = -(-grid.nu // max(1, grid.nu * grid.nt // _BLOCK_NODES))
-    blocks = [slice(r0, min(r0 + step, grid.nu))
-              for r0 in range(0, grid.nu, step)]
-    values = ex._evaluate_blocks(e, ({"u": u[rows], "t": t} for rows in blocks))
-    for rows in blocks:
+    shared = ex._shared_nodes(e)
+    for r0 in range(0, grid.nu, step):
+        rows = slice(r0, min(r0 + step, grid.nu))
         try:
-            v = next(values)
+            v = ex._evaluate(e, {"u": u[rows], "t": t}, ex._np_pow, shared)
         except ArithmeticError as err:
             ex.evaluate(e, {"u": u, "t": t})
             raise err
@@ -240,18 +236,14 @@ def _grid_rows(e, grid: SurfaceGrid):
 
 
 def _grid_eval(e, grid: SurfaceGrid) -> np.ndarray:
-    """e at the grid nodes as a fresh (nu, nt) array, filled block by block
-    (_grid_rows).  A single block of full shape is the array itself: a
-    broadcasting operation made it, so nothing else holds it."""
+    """e at the grid nodes as a fresh (nu, nt) array, in one pass on the
+    open mesh (u as a column, t as a row).  A result of full shape is the
+    array itself: a broadcasting operation made it, so nothing else holds
+    it."""
     shape = (grid.nu, grid.nt)
-    out = None
-    for rows, v in _grid_rows(e, grid):
-        if out is None:
-            if np.shape(v) == shape:
-                return v
-            out = np.empty(shape)
-        out[rows] = v
-    return out
+    v = ex.evaluate(ex.coerce(e), {"u": grid.u_nodes[:, None],
+                                   "t": grid.t_nodes[None, :]})
+    return v if np.shape(v) == shape else np.broadcast_to(v, shape).copy()
 
 
 def sample_config(F: FieldConfiguration, grid: SurfaceGrid
@@ -526,9 +518,7 @@ def action(structure, F, variant: str = "homogeneous",
         if variant != "constrained":
             if F.s is None:
                 raise ValueError(f"the {variant} action needs a scale field")
-            # each block's least and greatest node value: no full-size s
-            _check_node_scale([(np.min(v), np.max(v))
-                               for _, v in _grid_rows(F.s, grid)], "on the grid")
+            _check_node_scale(_grid_eval(F.s, grid), "on the grid")
         dens = _action_density(J, F, variant).component("u", "t")
         # the t-quadrature block by block, so no full-size density array is
         # kept; each row's sum is the one a full array gives
@@ -550,30 +540,16 @@ def action(structure, F, variant: str = "homogeneous",
 
 
 def _check_node_scale(vals, where: str):
-    """Raise ValueError when the scale field takes both signs over the node
-    values (a continuous s then vanishes between two nodes) or drops below
-    S_FLOOR at a node; where names the nodes.  One min and one max give
-    min |s| without an |s| array."""
+    """Raise ValueError when the scale field takes both signs over its
+    values at nodes or sample points (a continuous s then vanishes between
+    two of them) or drops below S_FLOOR at one; where names the nodes or
+    points.  One min and one max give min |s| without an |s| array."""
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if lo < 0 < hi:
         raise ValueError(f"scale field drops below 1e-06 {where}: "
                          "it changes sign there")
     if min(abs(lo), abs(hi)) < S_FLOOR:
         raise ValueError(f"scale field drops below 1e-06 {where}")
-
-
-def _s_min_symbolic(F: FieldConfiguration, *,
-                    trials: int = ex.DEFAULT_TRIALS,
-                    seed: int = ex.DEFAULT_SEED) -> float:
-    """min |s| over the sample points of the chart box.  Raises ValueError
-    when s takes both signs there: a continuous s on the connected box
-    then vanishes between two of them."""
-    vals = [v for _, v in ex.sample_values(F.s, F.chart.sample_box(),
-                                           trials=trials, seed=seed)]
-    if min(vals) < 0 < max(vals):
-        raise ValueError("scale field drops below 1e-06 on the chart box: "
-                         "it changes sign there")
-    return min(abs(v) for v in vals)
 
 
 # --------------------------------------------------- stationarity system
@@ -614,9 +590,9 @@ def el_residual(structure, F, *, variant: str = "homogeneous",
     J = _as_pair(structure)
     _check_boundary(F, trials=trials, seed=seed)
     if isinstance(F, FieldConfiguration):
-        if (F.s is not None
-                and _s_min_symbolic(F, trials=trials, seed=seed) < S_FLOOR):
-            raise ValueError("scale field drops below 1e-06 on the chart box")
+        if F.s is not None:
+            _, vals = ex._sample(F.s, F.chart.sample_box(), trials, seed)
+            _check_node_scale(list(vals), "on the chart box")
         one, two = _stationarity(J, _exact_fields(J, F), variant)
         res = {k: geo.form(F.chart, 1, {"u": ru, "t": rt})
                for k, (ru, rt) in one.items()}

@@ -345,6 +345,7 @@ def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch, variant):
     def out_of_memory(e, grid):
         raise MemoryError(f"Unable to allocate an array for {grid}")
     monkeypatch.setattr(cli.sg, "_grid_rows", out_of_memory)
+    monkeypatch.setattr(cli.sg, "_grid_eval", out_of_memory)
     code, out, err = run("verify", fixture("structures/contact-k1.ini"),
                          fixture("fields/contact-k1-solution.ini"),
                          "--variant", variant, "--grid", "300x200")

@@ -162,6 +162,18 @@ def test_a_scalar_power_that_overflows_is_one_evaluation_error(e, x):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e, point", [
+    # a product of scalars from exp, and an array's power
+    (ex.mul(ex.exp(ex.var("x")), ex.exp(ex.mul(2, ex.var("x")))),
+     {"x": 300.0}),
+    (ex.pow_(ex.var("x"), 200), {"x": np.linspace(1, 1e5, 5)})])
+def test_an_overflow_is_one_evaluation_error(e, point):
+    with pytest.raises(ex.EvaluationError, match="^non-finite result$") as err:
+        ex.evaluate(e, point)
+    assert err.value.point is point
+
+
+@pytest.mark.filterwarnings("error")
 def test_sampling_a_power_that_overflows_names_the_point():
     e = ex.pow_(ex.exp(ex.var("x")), 200)
     with pytest.raises(ex.EvaluationError, match="power overflow") as err:

@@ -1,7 +1,8 @@
-"""Grid fields on the open (u, t) mesh in row blocks, with shared subtrees
-evaluated once and temporaries reused in place, the zero marker of the
-grid backend and the RK4 scale transport, each against the full-array /
-scalar / plain recursive reference it replaced, bit for bit."""
+"""Grid fields on the open (u, t) mesh, in one pass and in row blocks with
+shared subtrees evaluated once, the symbolic action integrated block by
+block, the zero marker of the grid backend and the RK4 scale transport,
+each against the full-array / scalar / plain recursive reference it
+replaced, bit for bit."""
 
 import functools
 import math
@@ -151,9 +152,17 @@ grid_sides = st.one_of(
     st.tuples(st.integers(3, 5), st.integers(BLOCK + 1, BLOCK + 700)))
 
 
-def _grid_case(e, sides, t_extent):
+def _blocked_eval(e, grid):
+    """e at the grid nodes, assembled from the row blocks of _grid_rows."""
+    out = np.empty((grid.nu, grid.nt))
+    for rows, v in sg._grid_rows(e, grid):
+        out[rows] = v
+    return out
+
+
+def _grid_case(e, sides, t_extent, run=sg._grid_eval):
     grid = sg.SurfaceGrid(*sides, t_extent)
-    _assert_same_outcome(_outcome(lambda: sg._grid_eval(e, grid)),
+    _assert_same_outcome(_outcome(lambda: run(e, grid)),
                          _outcome(lambda: _full_mesh_eval(e, grid)), sides)
 
 
@@ -166,7 +175,7 @@ def test_open_mesh_equals_full_mesh(e, sides, t_extent):
 @settings(max_examples=200, deadline=None)
 @given(shared_trees(("u", "t")), grid_sides, st.sampled_from((1.0, 0.7)))
 def test_shared_subtrees_equal_the_plain_recursion(e, sides, t_extent):
-    _grid_case(e, sides, t_extent)
+    _grid_case(e, sides, t_extent, _blocked_eval)
 
 
 def test_grids_of_several_blocks_and_of_one_row_blocks():
@@ -176,6 +185,20 @@ def test_grids_of_several_blocks_and_of_one_row_blocks():
         blocks = [r for r, _ in sg._grid_rows(ex.ZERO, grid)]
         assert blocks == [slice(r, min(r + rows, nu))
                           for r in range(0, nu, rows)]
+
+
+@pytest.mark.parametrize("variant", sg.ACTION_VARIANTS)
+@pytest.mark.parametrize("sides", [(65, 33), (420, 310), (3, BLOCK + 1)])
+def test_symbolic_action_equals_the_full_mesh_quadrature(variant, sides):
+    """One block, several blocks and one-row blocks: the action integrated
+    block by block is the trapezoid rule over the full-mesh density of the
+    plain recursion, bit for bit."""
+    J, F = sg.contact_pair(1), sg.contact_solution(1)
+    grid = sg.SurfaceGrid(*sides)
+    dens = sg._action_density(J, F, variant).component("u", "t")
+    inner = np.trapezoid(_full_mesh_eval(dens, grid), grid.t_nodes, axis=1)
+    want = float(np.trapezoid(inner, grid.u_nodes))
+    assert sg.action(J, F, variant, grid).hex() == want.hex()
 
 
 def test_blocked_guard_trip_raises_what_the_whole_grid_raises():
@@ -191,24 +214,29 @@ def test_blocked_guard_trip_raises_what_the_whole_grid_raises():
                 ex.evaluate(e, block)
         with pytest.raises(ex.EvaluationError,
                            match="^near-zero denominator$"):
-            sg._grid_eval(e, grid)
-        _grid_case(e, (grid.nu, grid.nt), 1.0)
+            _blocked_eval(e, grid)
+        _grid_case(e, (grid.nu, grid.nt), 1.0, _blocked_eval)
     assert first.stop < grid.nu          # the second grid has two blocks
 
 
 def test_a_shared_subtree_is_evaluated_once(monkeypatch):
-    """On a large point a node object referenced three times runs once;
-    on a small one (a plain recursion) it runs at every reference."""
+    """Through the row blocks of _grid_rows a node object referenced three
+    times runs once per block; a plain evaluation runs it at every
+    reference."""
     calls = []
-    unary = ex._Temps.unary
-    monkeypatch.setattr(ex._Temps, "unary", lambda self, uf, a:
-                        calls.append(uf) or unary(self, uf, a))
+    monkeypatch.setitem(ex._UFUNCS, "sin",
+                        lambda a: calls.append(a.shape) or np.sin(a))
     s = ex.sin(U * ex.var("t"))
     e = ex.add(ex.mul(s, U), ex.mul(s, s))
-    for grid, runs in ((sg.SurfaceGrid(129, 65), 1), (sg.SurfaceGrid(9, 9), 0)):
+    for grid, blocks in ((sg.SurfaceGrid(129, 65), 1),
+                         (sg.SurfaceGrid(420, 310), 3)):
         calls.clear()
-        _grid_case(e, (grid.nu, grid.nt), 1.0)
-        assert calls == [np.sin] * runs
+        _grid_case(e, (grid.nu, grid.nt), 1.0, _blocked_eval)
+        assert len(calls) == blocks
+        assert sum(rows for rows, _ in calls) == grid.nu
+        calls.clear()
+        ex.evaluate(e, {"u": grid.u_nodes[:, None], "t": grid.t_nodes})
+        assert calls == [(grid.nu, grid.nt)] * 3
 
 
 @settings(max_examples=150, deadline=None)

@@ -223,6 +223,52 @@ def test_jet_bracket_holonomic_sections():
     assert geo.is_zero_tensor(form_slot - dwant)
 
 
+_BAD_JETS = {
+    # a base off the pair's chart, a momentum off it, two points on
+    # different bases, and a 2-form where the bracket takes 1-forms
+    "j_sharp base": "jac.j_sharp(J, JetPoint({'x': X}, {}, ex.ONE))",
+    "j_sharp momentum": "jac.j_sharp(J, JetPoint(BASE, {'w': X}, ex.ONE))",
+    "pairing_L base": "jac.pairing_L(jac.j_sharp(J, JetPoint(BASE, {}, "
+                      "ex.ONE)), JetPoint({**BASE, 'x': ex.ZERO}, {}, "
+                      "ex.ONE))",
+    "jet_bracket degree": "jac.jet_bracket(J, (geo.form(CH3, 2, {}), X), "
+                          "(geo.form(CH3, 1, {}), X))",
+}
+_JET_SETUP = ("from jacobisigma import expr as ex\n"
+              "from jacobisigma import geometry as geo\n"
+              "from jacobisigma import jacobi as jac\n"
+              "from jacobisigma.geometry import Chart\n"
+              "from jacobisigma.jacobi import JacobiPair, JetPoint\n"
+              "CH3 = Chart(('x', 'y', 'z'))\n"
+              "J = JacobiPair(CH3, geo.mvf(CH3, 2, {}), geo.mvf(CH3, 1, {}))\n"
+              "X = ex.var('x')\n"
+              "BASE = {n: ex.var(n) for n in CH3.names}\n")
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_JETS))
+def test_jet_inputs_off_the_chart_raise_value_error(case):
+    scope = {}
+    exec(_JET_SETUP, scope)
+    with pytest.raises(ValueError):
+        eval(_BAD_JETS[case], scope)
+
+
+def test_jet_inputs_off_the_chart_raise_under_python_O():
+    # an assert would be stripped under -O and the input accepted
+    code = (_JET_SETUP
+            + f"for text in {list(_BAD_JETS.values())!r}:\n"
+            "    try:\n"
+            "        eval(text)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{text} was accepted')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 # ----- atlases -----
 
 def test_moebius_atlas_passes():
