@@ -7,12 +7,15 @@ seconds:
 
 * a bare interpreter (`python -c pass`);
 * `import numpy`;
-* `import jacobisigma.cli` (every module of the program);
+* `import jacobisigma.cli` (every module of the program but sigma, which a
+  command imports where it needs it);
 * the same import followed by `os._exit(0)`, which skips the interpreter's
   teardown (the exit-time collection and the freeing of every module), so
   its difference from the stage before is what teardown costs;
-* one `jsm check structures/contact-k1.ini`;
-* one `jsm example contact-k`.
+* one `jsm check structures/contact-k1.ini` and one `jsm verify
+  structures/a10-algebroid.ini fields/family1.ini`, which sample rational
+  trees and so never load numpy;
+* one `jsm example contact-k`, which does.
 
 It also prints the number of threads of a process right after `import
 jacobisigma.cli` (read from /proc/self/task, where there is one).  The
@@ -46,6 +49,8 @@ STAGES = [
     ("import cli, os._exit(0)",
      ["-c", "import os, jacobisigma.cli; os._exit(0)"]),
     ("jsm check contact-k1", CLI + ["check", "structures/contact-k1.ini"]),
+    ("jsm verify a10 family1", CLI + ["verify", "structures/a10-algebroid.ini",
+                                      "fields/family1.ini"]),
     ("jsm example contact-k", CLI + ["example", "contact-k"]),
 ]
 THREADS = ("import os, jacobisigma.cli; "

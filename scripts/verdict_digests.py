@@ -9,10 +9,16 @@ prints:
   op kind: the op count and a sha256 over each op's verdict and payload
   digest, as `perfbench/ops.py` computes them (or the error an op raised);
 * one line per CLI report in a fixed list (`check` on every shipped
-  structure and on contact-k1 with 4096 trials, every built-in example, and `verify` plain, on a grid, on a
-  grid of several row blocks in the homogeneous and the constrained
-  variant, and with the reduced variant): the exit code and the sha256 of
-  the `--json` report;
+  structure and on contact-k1 with 4096 trials, every built-in example,
+  `derive` of the Poissonization of contact-k1, of the tangent lift of
+  almost-poisson and of the algebroid of that lift, `verify` plain, on a
+  grid, on a grid of several row blocks in the homogeneous and the
+  constrained variant, and with the reduced variant, and `verify` of the
+  a10 algebroid morphism): the exit code and the sha256 of the `--json`
+  report, and for a `derive` the sha256 of the file it writes.  Each runs
+  as its own cold `python -m jacobisigma.cli` process, so that it samples
+  as a user's command does: a process that has not loaded numpy samples
+  rational trees without it;
 * one line per run of the grid scripts (`convergence_study.py` in both
   variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
   covers: the sha256 of what the script prints;
@@ -49,7 +55,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 from collections import OrderedDict
@@ -63,7 +71,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 import ops as O  # noqa: E402
-from jacobisigma import cli  # noqa: E402
 from jacobisigma import expr as ex  # noqa: E402
 from jacobisigma import jacobi as jac  # noqa: E402
 from jacobisigma import sigma as sg  # noqa: E402
@@ -75,15 +82,25 @@ SCRIPT_RUNS = (("convergence_study.py",),
 
 
 def cli_cases():
-    """[(label, argv)] of the fixed CLI report list, paths from the root."""
+    """[(label, argv)] of the fixed CLI report list, paths from the root; a
+    `derive` writes its file in the directory the case runs in."""
     cases = [(f"check {p.name}", ["check", str(p)])
              for p in sorted((ROOT / "structures").glob("*.ini"))]
-    # 4096 trials: a sample set as large as a grid block, on the one plain
-    # array pass every sampled check takes
+    # 4096 trials: a sample set as large as a grid block, past the limit of
+    # the walk, so the array pass samples it
     cases += [("check contact-k1.ini --trials 4096",
                ["check", str(ROOT / "structures/contact-k1.ini"),
                 "--trials", "4096"])]
     cases += [(f"example {n}", ["example", n]) for n in sg.BUILTIN_EXAMPLES]
+    cases += [("derive contact-k1 --what poissonize",
+               ["derive", str(ROOT / "structures/contact-k1.ini"), "--what",
+                "poissonize", "-o", "poissonized.ini"]),
+              ("derive almost-poisson --what lift",
+               ["derive", str(ROOT / "structures/almost-poisson.ini"),
+                "--what", "lift", "-o", "lift.ini"]),
+              ("derive lift --what algebroid",
+               ["derive", "lift.ini", "--what", "algebroid",
+                "-o", "algebroid.ini"])]
     contact = [str(ROOT / "structures/contact-k1.ini"),
                str(ROOT / "fields/contact-k1-solution.ini")]
     cases += [("verify contact-k1", ["verify", *contact]),
@@ -97,7 +114,10 @@ def cli_cases():
                 "--grid", "451x233"]),
               ("verify moebius --variant reduced",
                ["verify", str(ROOT / "structures/moebius.ini"),
-                str(ROOT / "fields/moebius-null.ini"), "--variant", "reduced"])]
+                str(ROOT / "fields/moebius-null.ini"), "--variant", "reduced"]),
+              ("verify a10-algebroid family1",
+               ["verify", str(ROOT / "structures/a10-algebroid.ini"),
+                str(ROOT / "fields/family1.ini")])]
     return cases
 
 
@@ -262,16 +282,27 @@ def halton_digests():
     return out
 
 
+def _file_sha(path):
+    """sha256 of a file's bytes, or '-' if there is none."""
+    path = Path(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() \
+        else "-"
+
+
 def report_digest(argv, tmp):
-    """(exit code, sha256 of the --json report or '-' if none was written)."""
+    """(exit code, sha256 of the --json report, and of the -o file of a
+    `derive`; '-' for a file that was not written), from a cold `jsm` run
+    in tmp, so that a report names the file it wrote as argv does."""
     out = Path(tmp) / "report.json"
     out.unlink(missing_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv + ["--json", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() \
-        else "-"
-    return code, digest
+    code = subprocess.run([sys.executable, "-m", "jacobisigma.cli", *argv,
+                           "--json", str(out)], cwd=tmp,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True).returncode
+    digests = [_file_sha(out)]
+    if "-o" in argv:
+        digests.append(_file_sha(Path(tmp) / argv[argv.index("-o") + 1]))
+    return code, " ".join(digests)
 
 
 def script_digest(argv):
@@ -321,7 +352,8 @@ def main():
             print("# node arrays of the grid ops, zeros as +0.0: ops, sha256")
             for kind, (n, digest) in array_digests(pool).items():
                 print(f"{kind:<28} {n:>4}  {digest}")
-        print("# CLI --json reports: exit code, sha256")
+        print("# CLI --json reports: exit code, sha256 (and of a derive's "
+              "file), each from a cold jsm")
         for label, argv in cli_cases():
             code, digest = report_digest(argv, tmp)
             print(f"{label:<40} {code}  {digest}")

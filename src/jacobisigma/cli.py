@@ -31,7 +31,8 @@ from pathlib import Path
 
 # jsm calls no BLAS routine, but numpy's import starts OpenBLAS's thread
 # pool, whose idle workers spin on the CPU; one thread starts none.  This
-# must run before numpy is first imported, and a caller's value wins.
+# must run before numpy is first imported, if ever (a command on rational
+# inputs samples without it), and a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -65,7 +66,6 @@ from . import expr as ex  # noqa: E402
 from . import geometry as geo  # noqa: E402
 from . import jacobi as jac  # noqa: E402
 from . import algebroid as alg  # noqa: E402
-from . import sigma as sg  # noqa: E402
 from .geometry import Chart, SmoothMap  # noqa: E402
 from .jacobi import (JacobiPair, HomogeneousPoisson,  # noqa: E402
                      LineBundleAtlas, Overlap)
@@ -328,15 +328,15 @@ def parse_field(path) -> dict:
     if not cp.has_section("field"):
         raise InputError(f"{path}: missing [field] section")
     variant = cp.get("field", "variant", fallback="homogeneous").strip()
-    if variant not in sg.ACTION_VARIANTS:
+    if variant not in geo.ACTION_VARIANTS:
         raise InputError(f"{path}: variant must be one of "
-                         f"{sg.ACTION_VARIANTS}")
+                         f"{geo.ACTION_VARIANTS}")
     try:
         t_extent = float(cp.get("field", "t_extent", fallback="1.0"))
     except ValueError as err:
         raise InputError(f"{path}: [field] t_extent: {err}") from err
     try:
-        sg.source_chart(t_extent)
+        geo.source_chart(t_extent)
     except ValueError as err:
         raise InputError(f"{path}: [field] {err}") from err
     grid = cp.get("field", "grid", fallback="").strip() or None
@@ -377,7 +377,8 @@ def _forms_from(comp_dict, chart) -> dict:
     return out
 
 
-def field_config(fld: dict) -> sg.FieldConfiguration:
+def field_config(fld: dict):
+    from . import sigma as sg
     ch = sg.source_chart(fld["t_extent"])
     z = geo.form(ch, 1, {(c,): v for c, v in fld["z"].items()})
     return sg.FieldConfiguration.build(ch, fld["maps"], s=fld["scale"],
@@ -638,6 +639,7 @@ def cmd_verify(args, kw):
     checks = {}
 
     if kind in ("jacobi", "poisson"):
+        from . import sigma as sg
         if kind == "jacobi":
             J = obj
         elif isinstance(obj, HomogeneousPoisson):
@@ -705,11 +707,16 @@ def cmd_verify(args, kw):
         if not fld["fiber"]:
             raise InputError("verifying against an algebroid needs a "
                              "[fiber] block in the field file")
-        ch = sg.source_chart(fld["t_extent"])
+        ch = geo.source_chart(fld["t_extent"])
         TS = alg.tangent_algebroid(ch)
         missing = [n for n in A.base.names if n not in fld["maps"]]
         if missing:
             raise InputError(f"[maps] is missing target coordinates {missing}")
+        for sec, what, known in (("maps", "target coordinates", A.base.names),
+                                 ("fiber", "generators", A.generators)):
+            unknown = [n for n in fld[sec] if n not in known]
+            if unknown:
+                raise InputError(f"[{sec}] names unknown {what} {unknown}")
         try:
             phi0 = SmoothMap(ch, A.base,
                              {n: fld["maps"][n] for n in A.base.names})
@@ -736,6 +743,7 @@ def cmd_verify(args, kw):
 
 
 def cmd_example(args, kw):
+    from . import sigma as sg
     try:
         pkg = sg.builtin_example(args.name)
     except ValueError as err:
@@ -768,6 +776,7 @@ def _parse_grid(text, t_extent=1.0):
         if nu * nt > MAX_GRID_NODES:
             raise InputError(f"grid {nu}x{nt} has {nu * nt} nodes, more "
                              f"than the limit of {MAX_GRID_NODES}")
+        from . import sigma as sg
         return sg.SurfaceGrid(nu, nt, t_extent)
     except ValueError as err:
         raise InputError(str(err)) from err
@@ -806,7 +815,7 @@ def _parser():
     pv.add_argument("structure")
     pv.add_argument("field")
     pv.add_argument("--variant", default=None,
-                    choices=sg.ACTION_VARIANTS)
+                    choices=geo.ACTION_VARIANTS)
 
     pe = sub.add_parser("example", parents=[common],
                         help="run a built-in example end to end")

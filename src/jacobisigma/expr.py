@@ -29,24 +29,27 @@ Schouten brackets of the check differentiate.
 
 Numeric zero-testing (is_zero) samples a Halton sequence over a named box;
 the sample points are a pure function of (seed, trial index), so every run
-with the same arguments sees the same points.  Sampling is one array pass:
-the points of a (box, trials, seed) are built once and kept in a bounded
-cache as one column per coordinate, and an expression is evaluated on all
-columns at once.  A column is lo + (hi - lo) * r, with r the radical
-inverses in that coordinate's prime of all trial indices.  Those rows
-depend only on (trials, seed), so they are kept in a second bounded cache,
-shared by every box sampled under the same (trials, seed) and grown when a
-wider box needs more primes; a box's columns are one array operation on
-them.  Each element goes through the operations of the scalar halton_point
-in the same order, so the columns hold its floats exactly.  is_zero and
-max_abs read the values only; a point is built as a dict of Python floats
-only where a caller needs one (the max_abs witness, each point
-sample_values yields, halton_points, a guard that trips), from the columns,
-in halton_point's sorted-name key order.  The values equal the per-point
-scalar evaluation bit for bit.  Sums, products, quotients and
-sin/cos/exp/log round the same way on arrays as on scalars; numpy's SIMD
-power does not match libm pow in the last bit, so the sampling pass raises
-each element with Python's ** (libm), the power a scalar evaluation uses.
+with the same arguments sees the same points.  Sampling takes one of two
+paths.  The array pass builds the points of a (box, trials, seed) once,
+kept in a bounded cache as one column per coordinate, and evaluates an
+expression on all columns at once.  A column is lo + (hi - lo) * r, with r
+the radical inverses in that coordinate's prime of all trial indices; those
+rows depend only on (trials, seed), so a second bounded cache keeps them
+for every box sampled under the same (trials, seed), grown when a wider box
+needs more primes.  Each element goes through the operations of the scalar
+halton_point in the same order, so the columns hold its floats exactly.  A
+point is built as a dict of Python floats only where a caller needs one
+(the max_abs witness, each point sample_values yields, halton_points, a
+guard that trips), in halton_point's sorted-name key order.  The walk, in a
+process that has not loaded numpy, evaluates an expression free of
+sin/cos/exp/log with the scalar evaluate at each point of halton_point;
+a set of over _WALK_TRIALS points, or a function node, imports numpy for
+the array pass instead.  Both give the per-point scalar values bit for bit:
+sums, products, quotients and numpy's sin/cos/exp/log (which can differ
+from libm's in the last bit, so a function node keeps them) round the same
+way on arrays as on scalars, and the array pass raises each element with
+Python's ** (libm), since numpy's SIMD power differs from libm pow in the
+last bit.
 
 Evaluation is one recursion over the tree, on floats or broadcasting
 numpy arrays.  A caller that evaluates a tree with shared subtrees on
@@ -62,14 +65,26 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping, Union
 
-import numpy as np
-
 from ._records import record
+
+
+class _Numpy:
+    """numpy, imported at its first use (see the module docstring)."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 64
@@ -448,22 +463,22 @@ def is_exact_zero(e) -> bool:
     return type(e) is Num and not e.value.numerator
 
 
-def _has_var(e: Expression) -> bool:
-    """Does a Var occur in e?  Stops at the first one."""
-    if isinstance(e, Var):
+def _has(e: Expression, cls) -> bool:
+    """Does a node of class cls occur in e?  Stops at the first one."""
+    if isinstance(e, cls):
         return True
-    if isinstance(e, (Num, Pi)):
+    if isinstance(e, (Num, Pi, Var)):
         return False
     if isinstance(e, Add):
-        return any(_has_var(t) for t in e.terms)
+        return any(_has(t, cls) for t in e.terms)
     if isinstance(e, Mul):
-        return any(_has_var(f) for f in e.factors)
+        return any(_has(f, cls) for f in e.factors)
     if isinstance(e, Pow):
-        return _has_var(e.base)
+        return _has(e.base, cls)
     if isinstance(e, Div):
-        return _has_var(e.num) or _has_var(e.den)
+        return _has(e.num, cls) or _has(e.den, cls)
     if isinstance(e, Fn):
-        return _has_var(e.arg)
+        return _has(e.arg, cls)
     raise TypeError(type(e))
 
 
@@ -569,7 +584,13 @@ def substitute(e: Expression, repl: Mapping[str, ExprLike]) -> Expression:
 
 _DIV_EPS = 1e-12
 _EXP_MAX = 700.0
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+_UFUNCS = {n: lambda a, n=n: getattr(np, n)(a) for n in _FN_NAMES}
+
+
+def _any(mask) -> bool:
+    """Whether a guard's mask holds anywhere: a bool (from Python floats),
+    or a numpy bool or bool array."""
+    return mask if mask.__class__ is bool else mask.any()
 
 
 def evaluate(e: Expression, point: Mapping[str, object]):
@@ -614,8 +635,12 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
     A scalar from sin/cos/exp/log is turned into a Python float, whose
     arithmetic overflows to inf without numpy's warning and whose power
     raises OverflowError; an overflow on an array is inf too.  Either way
-    one EvaluationError is raised.
+    one EvaluationError is raised.  The sine or cosine of an infinite
+    scalar is numpy's nan, without its warning.  Only a function node
+    imports numpy: Python floats never touch it.
     """
+    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
+
     def go(t):
         cls = type(t)
         if cls is Var:
@@ -640,9 +665,9 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
             return acc
         if cls is Pow:
             b = val(t.base)
-            if t.exponent < 0 and np.any(np.abs(b) < _DIV_EPS):
+            if t.exponent < 0 and _any(abs(b) < _DIV_EPS):
                 raise EvaluationError("negative power of a near-zero base", point)
-            if type(b) is np.ndarray:
+            if type(b) is ndarray:
                 return power(b, t.exponent)
             try:
                 return float(b) ** t.exponent
@@ -650,17 +675,19 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
                 raise EvaluationError("power overflow", point) from None
         if cls is Div:
             a, b = val(t.num), val(t.den)
-            if np.any(np.abs(b) < _DIV_EPS):
+            if _any(abs(b) < _DIV_EPS):
                 raise EvaluationError("near-zero denominator", point)
             return a / b
         if cls is Fn:
             a = val(t.arg)
-            if t.fn == "exp" and np.any(np.asarray(a) > _EXP_MAX):
+            if t.fn == "exp" and _any(a > _EXP_MAX):
                 raise EvaluationError("exp overflow", point)
-            if t.fn == "log" and np.any(np.asarray(a) <= 0):
+            if t.fn == "log" and _any(a <= 0):
                 raise EvaluationError("log of a non-positive value", point)
+            if type(a) is float and math.isinf(a) and t.fn in ("sin", "cos"):
+                return math.nan
             r = _UFUNCS[t.fn](a)
-            return r if type(r) is np.ndarray else float(r)
+            return r if type(r) is ndarray else float(r)
         if cls is Pi:
             return math.pi
         raise TypeError(cls)
@@ -679,7 +706,7 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
                 left[k], held[k] = n - 1, v
             return v
     out = go(e)
-    if isinstance(out, np.ndarray):
+    if isinstance(out, ndarray):
         if not np.all(np.isfinite(out)):
             raise EvaluationError("non-finite result", point)
         return out
@@ -813,6 +840,10 @@ def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
 # built for its call and not kept.
 _CACHE_ENTRIES = 64
 _CACHE_COORDS = 64 * 64
+# Without numpy, _sample walks a set of at most this many points and
+# imports numpy for a larger one: a cold `jsm check` of contact-k1 costs
+# the same CPU either way at about 768 points.
+_WALK_TRIALS = 512
 _HALTON_CACHE: OrderedDict = OrderedDict()
 _HALTON_ROWS: OrderedDict = OrderedDict()
 
@@ -843,24 +874,31 @@ def _halton_rows(trials: int, seed: int, k: int) -> np.ndarray:
     return rows
 
 
-def _halton_set(box: Mapping[str, tuple], trials: int, seed: int) -> dict:
+def _halton_set(box: Mapping[str, tuple], trials: int, seed: int,
+                walk: bool = False) -> dict:
     """The sample set of trials 0..trials-1 as columns: one float array per
-    coordinate, in sorted name order, element i the coordinate of
-    halton_point(box, i, seed).  Shared with the cache; do not mutate."""
-    key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed)
+    coordinate (array.array of halton_point's floats, for the walk), in
+    sorted name order, element i the coordinate of halton_point(box, i,
+    seed).  Shared with the cache; do not mutate."""
+    key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed,
+           walk)
     cols = _HALTON_CACHE.get(key)
     if cols is not None:
         _HALTON_CACHE.move_to_end(key)
         return cols
     names = sorted(box)
-    bounds = [box[n] for n in names]
-    lo = np.array([float(a) for a, _ in bounds])[:, None]
-    span = np.array([float(b - a) for a, b in bounds])[:, None]
-    # lo + (hi - lo) * u, element by element as in halton_point
-    block = lo + span * _halton_rows(trials, seed, len(names))[:len(names)]
-    block.flags.writeable = False
-    cols = dict(zip(names, block))
-    if block.size <= _CACHE_COORDS:
+    if walk:
+        points = [halton_point(box, i, seed) for i in range(trials)]
+        cols = {n: array("d", [p[n] for p in points]) for n in names}
+    else:
+        bounds = [box[n] for n in names]
+        lo = np.array([float(a) for a, _ in bounds])[:, None]
+        span = np.array([float(b - a) for a, b in bounds])[:, None]
+        # lo + (hi - lo) * u, element by element as in halton_point
+        block = lo + span * _halton_rows(trials, seed, len(names))[:len(names)]
+        block.flags.writeable = False
+        cols = dict(zip(names, block))
+    if trials * len(names) <= _CACHE_COORDS:
         _keep(_HALTON_CACHE, key, cols)
     return cols
 
@@ -883,15 +921,16 @@ def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
     iterator; cols holds the points' coordinates, one float array of
     length n per name.
 
-    One array pass makes the list, and its values equal the scalar
-    evaluation bit for bit.  If the pass trips a guard, the iterator walks
-    the points one at a time instead, each a fresh dict of Python floats
-    taken from cols in its key order: the values before the first bad
-    point still come out, and that point raises the error a scalar
-    evaluation there raises.
+    One array pass, with numpy's warnings off, makes the list; its values
+    equal the scalar evaluation bit for bit.  If the pass trips a guard,
+    the iterator walks the points one at a time instead, each a fresh dict
+    of Python floats taken from cols in its key order: the values before
+    the first bad point still come out, and that point raises the error a
+    scalar evaluation there raises.
     """
     try:
-        v = _evaluate(e, cols, _libm_pow)
+        with np.errstate(all="ignore"):
+            v = _evaluate(e, cols, _libm_pow)
     except ArithmeticError:
         # a guard, a variable cols lacks, or OverflowError from a libm power
         return (evaluate(e, p) for p in _point_dicts(cols, n))
@@ -907,13 +946,18 @@ def _point_array(e: Expression, cols: Mapping[str, np.ndarray], n: int):
 
 def _sample(e: Expression, box: Mapping[str, tuple], trials: int, seed: int):
     """(columns, values): the box's sample set and e's value at each of its
-    points (_point_values).  Raises ValueError when trials < 1, since a
-    check over no points would pass vacuously, and when a guard trips
-    because the box lacks a variable of e."""
+    points, by the array pass (_point_values) or, if numpy is not loaded,
+    e has no function node and trials <= _WALK_TRIALS, by the walk: the
+    scalar evaluate at each point, lazily.  Raises ValueError when trials <
+    1, since a check over no points would pass vacuously, and when a guard
+    trips because the box lacks a variable of e."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    cols = _halton_set(box, trials, seed)
-    values = _point_values(e, cols, trials)
+    walk = not (sys.modules.get("numpy") or trials > _WALK_TRIALS
+                or _has(e, Fn))
+    cols = _halton_set(box, trials, seed, walk)
+    values = ((evaluate(e, p) for p in _point_dicts(cols, trials)) if walk
+              else _point_values(e, cols, trials))
     if isinstance(values, list):
         return cols, values
     return cols, _named_missing(e, box, values)
@@ -950,7 +994,7 @@ def is_zero(e: Expression, box: Mapping[str, tuple], *, tol: float = DEFAULT_TOL
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> bool:
     """|e| <= tol at every sample point.  Stops at the first point where it
     is not, so a guard that would trip at a later point does not raise."""
-    if not _has_var(e):
+    if not _has(e, Var):
         return abs(evaluate(e, {})) <= tol
     _, values = _sample(e, box, trials, seed)
     return all(abs(v) <= tol for v in values)
@@ -960,13 +1004,13 @@ def max_abs(e: Expression, box: Mapping[str, tuple], *,
             trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """(max |e|, witness point) over the sample set; the witness is the
     first point where the maximum is reached."""
-    if not _has_var(e):
+    if not _has(e, Var):
         return abs(evaluate(e, {})), {}
     cols, values = _sample(e, box, trials, seed)
     mags = list(map(abs, values))
     best = max(mags)
     i = mags.index(best)
-    return best, {n: c[i].item() for n, c in cols.items()}
+    return best, {n: float(c[i]) for n, c in cols.items()}
 
 
 # ----- parsing -----

@@ -26,6 +26,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import field
 from typing import Mapping, Union
 
@@ -105,6 +106,22 @@ def tangent_chart(chart: Chart, suffix: str = "_dot", dot_box=(-1.0, 1.0)) -> Ch
         assert d not in chart.names, f"name clash: {d}"
     box = {d: dot_box for d in dotted}
     return chart.extend(dotted, box=box)
+
+
+# the sigma models' variants and source surface (u, t) in [0,1] x [-T, T],
+# here so that the command line can read them without loading sigma
+ACTION_VARIANTS = ("homogeneous", "reduced", "constrained")
+
+
+def _check_t_extent(t_extent: float):
+    if not (math.isfinite(t_extent) and t_extent > 0):
+        raise ValueError(f"t_extent must be finite and greater than 0, "
+                         f"got {t_extent}")
+
+
+def source_chart(t_extent: float = 1.0) -> Chart:
+    _check_t_extent(t_extent)
+    return Chart(("u", "t"), {"u": (0.0, 1.0), "t": (-t_extent, t_extent)})
 
 
 def _merge_indices(a: tuple, b: tuple):

@@ -37,8 +37,6 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping
 
-import numpy as np
-
 from . import expr as ex
 from ._records import record
 from . import geometry as geo
@@ -457,6 +455,7 @@ def _extended_overlap_maps(atlas: LineBundleAtlas, ov: Overlap, s_name: str):
 def _inside(cols: Mapping, box: Mapping, n: int) -> np.ndarray:
     """Mask of the n points of cols with lo < x < hi on every coordinate of
     the box, each Python float compared with the bounds as they are."""
+    import numpy as np      # the atlas chain checks work on arrays
     inside = np.ones(n, dtype=bool)
     for name, (lo, hi) in box.items():
         inside &= [lo < x < hi for x in cols[name].tolist()]

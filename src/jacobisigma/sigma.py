@@ -78,22 +78,17 @@ from . import geometry as geo
 from . import jacobi as jac
 from . import algebroid as alg
 from .expr import Expression, var
-from .geometry import Chart, DifferentialForm, MultivectorField, SmoothMap
+from .geometry import (ACTION_VARIANTS, Chart, DifferentialForm,
+                       MultivectorField, SmoothMap, _check_t_extent,
+                       source_chart)
 from .jacobi import JacobiPair, HomogeneousPoisson, LineBundleAtlas, Overlap
 
 S_FLOOR = 1e-6
-ACTION_VARIANTS = ("homogeneous", "reduced", "constrained")
 BUILTIN_EXAMPLES = ("contact-k", "moebius", "almost-poisson-family1",
                     "almost-poisson-family2", "ex1-groupoid")
 
 
 # --------------------------------------------------------------- grids
-
-def _check_t_extent(t_extent: float):
-    if not (math.isfinite(t_extent) and t_extent > 0):
-        raise ValueError(f"t_extent must be finite and greater than 0, "
-                         f"got {t_extent}")
-
 
 @record(frozen=True)
 class SurfaceGrid:
@@ -131,11 +126,6 @@ class SurfaceGrid:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def source_chart(t_extent: float = 1.0) -> Chart:
-    _check_t_extent(t_extent)
-    return Chart(("u", "t"), {"u": (0.0, 1.0), "t": (-t_extent, t_extent)})
 
 
 def d0(chart: Chart, f) -> DifferentialForm:

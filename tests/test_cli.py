@@ -14,6 +14,7 @@ import pytest
 from jacobisigma import algebroid as alg
 from jacobisigma import expr as ex
 from jacobisigma import cli
+from jacobisigma import sigma as sg
 from jacobisigma.cli import main, parse_structure, _algebroid_dev
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,6 +116,7 @@ def _pole_in_transition_factor():
                              f"src_box.x = 0.5, 0.95\n")
 
 
+FAMILY1 = (ROOT / "fields/family1.ini").read_text()
 BAD_INPUTS = {
     "gen_weights": ("check", "[structure]\nkind = algebroid\n\n[chart]\n"
                     "names = x\n\n[generators]\nnames = a\n\n"
@@ -179,6 +181,15 @@ BAD_INPUTS = {
     "coordinate_named_pi": ("check", "[structure]\nkind = jacobi\n\n"
                             "[chart]\nnames = x, y, pi\n\n"
                             "[pi]\nx, y = 1\nx, pi = x\n"),
+    # names of a morphism into the a10 algebroid that it does not have: a
+    # map to an extra coordinate, a form of an extra generator, and a
+    # misspelt generator
+    "morphism_unknown_map": ("verify-algebroid", FAMILY1.replace(
+        "[maps]\n", "[maps]\nw = u\n")),
+    "morphism_unknown_fiber": ("verify-algebroid", FAMILY1.replace(
+        "[fiber]\n", "[fiber]\ndw, u = 1\n")),
+    "morphism_misspelt_fiber": ("verify-algebroid",
+                                FAMILY1.replace("dz, ", "dq, ")),
 }
 
 
@@ -206,6 +217,9 @@ def _bad_argv(tmp_path, case):
     bad.write_text(text)
     if cmd == "verify":
         return [cmd, fixture("structures/contact-k1.ini"), str(bad), *flags]
+    if cmd == "verify-algebroid":
+        return ["verify", fixture("structures/a10-algebroid.ini"), str(bad),
+                *flags]
     if cmd == "derive":
         return [cmd, str(bad), "--what", "poissonize",
                 "-o", str(tmp_path / "out.ini"), *flags]
@@ -242,7 +256,10 @@ def test_duplicate_chart_rejected_under_python_O(tmp_path):
     ("singular_in_structure", "at the sample point x ="),
     ("scale_zero_on_grid", "scale field drops below"),
     ("scale_changes_sign", "changes sign"),
-    ("coordinate_named_pi", "reserved name")])
+    ("coordinate_named_pi", "reserved name"),
+    ("morphism_unknown_map", "[maps] names unknown target coordinates ['w']"),
+    ("morphism_unknown_fiber", "[fiber] names unknown generators ['dw']"),
+    ("morphism_misspelt_fiber", "[fiber] names unknown generators ['dq']")])
 def test_homogeneous_poisson_input_rejected_under_python_O(tmp_path, case,
                                                             message):
     out = subprocess.run([sys.executable, "-O", "-m", "jacobisigma.cli",
@@ -344,8 +361,8 @@ def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch, variant):
     check).  The allocation is made to fail; no large grid is built."""
     def out_of_memory(e, grid):
         raise MemoryError(f"Unable to allocate an array for {grid}")
-    monkeypatch.setattr(cli.sg, "_grid_rows", out_of_memory)
-    monkeypatch.setattr(cli.sg, "_grid_eval", out_of_memory)
+    monkeypatch.setattr(sg, "_grid_rows", out_of_memory)
+    monkeypatch.setattr(sg, "_grid_eval", out_of_memory)
     code, out, err = run("verify", fixture("structures/contact-k1.ini"),
                          fixture("fields/contact-k1-solution.ini"),
                          "--variant", variant, "--grid", "300x200")
@@ -467,6 +484,25 @@ def test_cli_import_leaves_scipy_out():
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["check", "structures/contact-k1.ini"], False),
+    (["derive", "structures/almost-poisson.ini", "--what", "lift"], False),
+    (["verify", "structures/a10-algebroid.ini", "fields/family1.ini"], False),
+    (["check", "structures/moebius.ini"], True)])      # cos: numpy's
+def test_a_command_on_rational_trees_leaves_numpy_out(tmp_path, argv,
+                                                      loads_numpy):
+    if argv[0] == "derive":
+        argv = argv + ["-o", str(tmp_path / "out.ini")]
+    code = ("import contextlib, io, sys, jacobisigma.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.split() == ["0", str(loads_numpy)], out.stderr
 
 
 def _python(code, **env):

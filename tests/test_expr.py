@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 import operator
 import os
@@ -161,16 +163,33 @@ def test_a_scalar_power_that_overflows_is_one_evaluation_error(e, x):
     assert err.value.point == {"x": x}
 
 
+# exp(x) * exp(2x), which overflows for x above 709.78 / 3
+OVERFLOWING = ex.mul(ex.exp(ex.var("x")), ex.exp(ex.mul(2, ex.var("x"))))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("e, point", [
-    # a product of scalars from exp, and an array's power
-    (ex.mul(ex.exp(ex.var("x")), ex.exp(ex.mul(2, ex.var("x")))),
-     {"x": 300.0}),
+    # a product of scalars from exp, the sine of its inf, and an array's
+    # power
+    (OVERFLOWING, {"x": 300.0}),
+    (ex.sin(OVERFLOWING), {"x": 300.0}),
     (ex.pow_(ex.var("x"), 200), {"x": np.linspace(1, 1e5, 5)})])
 def test_an_overflow_is_one_evaluation_error(e, point):
     with pytest.raises(ex.EvaluationError, match="^non-finite result$") as err:
         ex.evaluate(e, point)
     assert err.value.point is point
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sampler", [ex.max_abs, ex.is_zero])
+@pytest.mark.parametrize("e", [OVERFLOWING, ex.sin(OVERFLOWING)])
+def test_sampling_an_overflow_is_one_evaluation_error(sampler, e):
+    """The array pass overflows on every point, with no numpy warning; the
+    first point raises the error."""
+    box = {"x": (290.0, 300.0)}
+    with pytest.raises(ex.EvaluationError, match="^non-finite result$") as err:
+        sampler(e, box)
+    assert err.value.point == ex.halton_point(box, 0, ex.DEFAULT_SEED)
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,6 +391,85 @@ def test_is_zero_and_max_abs_equal_a_pointwise_reference(e, rewrite, box,
             == _outcome(lambda: _reference_max_abs(e, *args)))
     assert (_outcome(lambda: ex.is_zero(e, box, tol=1e-9, **kw))
             == _outcome(lambda: _reference_is_zero(e, *args)))
+
+
+def _sampled(cases):
+    """Per case (tree text, box, trials, seed, tol): what sample_values
+    yields, then is_zero, then max_abs, each float by its bits and an error
+    as [type, message, point].  Self-contained, so that a child process can
+    run its source."""
+    from jacobisigma import expr as ex
+
+    def exact(v):
+        if isinstance(v, dict):
+            return [[k, exact(u)] for k, u in v.items()]
+        if isinstance(v, (list, tuple)):
+            return [exact(u) for u in v]
+        return v.hex() if isinstance(v, float) else v
+
+    def outcome(items):
+        out = []
+        try:
+            for item in items():
+                out.append(exact(item))
+        except (ArithmeticError, ValueError) as err:
+            out.append([type(err).__name__, str(err),
+                        exact(getattr(err, "point", None))])
+        return out
+
+    res = []
+    for text, box, trials, seed, tol in cases:
+        e, kw = ex.parse(text), dict(trials=trials, seed=seed)
+        box = {n: tuple(b) for n, b in box.items()}
+        res.append([outcome(lambda: ex.sample_values(e, box, **kw)),
+                    outcome(lambda: [ex.is_zero(e, box, tol=tol, **kw)]),
+                    outcome(lambda: [ex.max_abs(e, box, **kw)])])
+    return res
+
+
+def rational_nodes(child):
+    return st.one_of(
+        st.tuples(child, child).map(lambda ab: ex.sub(*ab)),
+        st.tuples(child, child).map(lambda ab: ex.mul(*ab)),
+        st.tuples(child, child).map(_or_first(ex.div)),
+        st.tuples(child, st.integers(-3, 60)).map(_or_first(ex.pow_)),
+    )
+
+
+# boxes that may lack a variable of the tree, pin a coordinate, put a
+# denominator under 1e-12 or make a power or product overflow
+_walk_boxes = st.dictionaries(st.sampled_from(VARS), st.sampled_from((
+    (-1.0, 1.0), (0.25, 0.25), (-1, 2), (-1e-13, 1e-13), (1e100, 1e120))))
+
+
+@st.composite
+def _walk_cases(draw):
+    e = draw(st.recursive(st.one_of(leaves(), st.just(ex.PI)),
+                          rational_nodes, max_leaves=10))
+    box, trials = draw(_walk_boxes), draw(st.integers(1, 70))
+    seed, pole = draw(st.integers(0, 2 ** 31)), draw(st.integers(0, 80))
+    if "x" in box and pole < trials:     # a pole at sample point `pole`
+        e = ex.add(e, _pole_at(box, pole, seed))
+    return [ex.to_text(e), box, trials, seed, draw(st.sampled_from((0, 1e-9)))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_walk_cases(), min_size=1, max_size=30))
+def test_the_walk_without_numpy_equals_the_array_pass(cases):
+    """A process in which numpy cannot be imported samples rational trees
+    by the walk of halton_point and the scalar evaluate; this one, with
+    numpy loaded, by the array pass.  Values, verdicts, witnesses and the
+    first error are the same, bit for bit."""
+    cases = json.loads(json.dumps(cases))
+    code = ("import json, sys\nsys.modules['numpy'] = None\n"
+            + inspect.getsource(_sampled)
+            + "print(json.dumps(_sampled(json.loads(sys.stdin.read()))))")
+    child = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases),
+                           env=dict(os.environ, PYTHONPATH=str(
+                               Path(__file__).resolve().parents[1] / "src")),
+                           capture_output=True, text=True, check=True)
+    assert sys.modules.get("numpy") is not None
+    assert json.loads(child.stdout) == _sampled(cases)
 
 
 def test_max_abs_witness_is_the_first_maximum():
