@@ -12,10 +12,11 @@ seconds:
 * the same import followed by `os._exit(0)`, which skips the interpreter's
   teardown (the exit-time collection and the freeing of every module), so
   its difference from the stage before is what teardown costs;
-* one `jsm check structures/contact-k1.ini` and one `jsm verify
-  structures/a10-algebroid.ini fields/family1.ini`, which sample rational
-  trees and so never load numpy;
-* one `jsm example contact-k`, which does.
+* one `jsm check structures/contact-k1.ini`, one `jsm verify
+  structures/a10-algebroid.ini fields/family1.ini` and one `jsm check
+  structures/moebius-atlas.ini` (sin and cos, and the atlas chain
+  checks), which sample trees without exp or log and so never load numpy;
+* one `jsm example contact-k`, which does (exp).
 
 It also prints the number of threads of a process right after `import
 jacobisigma.cli` (read from /proc/self/task, where there is one).  The
@@ -51,6 +52,8 @@ STAGES = [
     ("jsm check contact-k1", CLI + ["check", "structures/contact-k1.ini"]),
     ("jsm verify a10 family1", CLI + ["verify", "structures/a10-algebroid.ini",
                                       "fields/family1.ini"]),
+    ("jsm check moebius-atlas", CLI + ["check",
+                                       "structures/moebius-atlas.ini"]),
     ("jsm example contact-k", CLI + ["example", "contact-k"]),
 ]
 THREADS = ("import os, jacobisigma.cli; "

@@ -9,8 +9,9 @@ prints:
   op kind: the op count and a sha256 over each op's verdict and payload
   digest, as `perfbench/ops.py` computes them (or the error an op raised);
 * one line per CLI report in a fixed list (`check` on every shipped
-  structure and on contact-k1 with 4096 trials, every built-in example,
-  `derive` of the Poissonization of contact-k1, of the tangent lift of
+  structure, on contact-k1 with 4096 trials and on moebius-atlas with 600,
+  every built-in example, `derive` of the Poissonization of contact-k1,
+  of the tangent lift of
   almost-poisson and of the algebroid of that lift, `verify` plain, on a
   grid, on a grid of several row blocks in the homogeneous and the
   constrained variant, and with the reduced variant, and `verify` of the
@@ -18,7 +19,7 @@ prints:
   report, and for a `derive` the sha256 of the file it writes.  Each runs
   as its own cold `python -m jacobisigma.cli` process, so that it samples
   as a user's command does: a process that has not loaded numpy samples
-  rational trees without it;
+  trees without exp or log without it;
 * one line per run of the grid scripts (`convergence_study.py` in both
   variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
   covers: the sha256 of what the script prints;
@@ -90,7 +91,12 @@ def cli_cases():
     # the walk, so the array pass samples it
     cases += [("check contact-k1.ini --trials 4096",
                ["check", str(ROOT / "structures/contact-k1.ini"),
-                "--trials", "4096"])]
+                "--trials", "4096"]),
+              # over the walk's limit, so the atlas chain checks take the
+              # array pass in the cold process
+              ("check moebius-atlas.ini --trials 600",
+               ["check", str(ROOT / "structures/moebius-atlas.ini"),
+                "--trials", "600"])]
     cases += [(f"example {n}", ["example", n]) for n in sg.BUILTIN_EXAMPLES]
     cases += [("derive contact-k1 --what poissonize",
                ["derive", str(ROOT / "structures/contact-k1.ini"), "--what",

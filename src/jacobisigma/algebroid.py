@@ -39,11 +39,13 @@ from .jacobi import InternalConsistencyError
 
 
 class LinearityError(ValueError):
-    """A dual-chart bivector is not fiberwise linear; names the component."""
+    """A dual-chart bivector is not fiberwise linear; names the component
+    (None: its degree or fiber split is wrong)."""
 
     def __init__(self, component, why):
         self.component = component
-        super().__init__(f"component {component}: {why}")
+        super().__init__(why if component is None
+                         else f"component {component}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +312,23 @@ def from_linear_bivector(P: MultivectorField, fiber_names: Sequence[str] = None,
     the anchor (with a sign), fiber-fiber coefficients must be linear
     homogeneous in the fiber and differentiate to the c-table.
     """
-    assert P.degree == 2
+    if P.degree != 2:
+        raise LinearityError(None, f"degree {P.degree}, not a bivector")
     chart = P.chart
     if fiber_names is None:
-        assert chart.dim % 2 == 0, "cannot infer the fiber split"
+        if chart.dim % 2:
+            raise LinearityError(None, "cannot infer the fiber split")
         fiber_names = chart.names[chart.dim // 2:]
     fiber_names = tuple(fiber_names)
     nb = chart.dim - len(fiber_names)
-    assert chart.names[nb:] == fiber_names, "fiber coordinates must come last"
+    if chart.names[nb:] != fiber_names:
+        raise LinearityError(None, "fiber coordinates must come last")
     base_names = chart.names[:nb]
     if gen_names is None:
         gen_names = fiber_names
     gen_names = tuple(gen_names)
-    assert len(gen_names) == len(fiber_names)
+    if len(gen_names) != len(fiber_names):
+        raise LinearityError(None, "one generator name per fiber coordinate")
 
     base = Chart(base_names,
                  {n: chart.box[n] for n in base_names if n in chart.box},

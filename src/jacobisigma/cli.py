@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import ctypes
 import gc
 import json
 import math
@@ -31,36 +30,9 @@ from pathlib import Path
 
 # jsm calls no BLAS routine, but numpy's import starts OpenBLAS's thread
 # pool, whose idle workers spin on the CPU; one thread starts none.  This
-# must run before numpy is first imported, if ever (a command on rational
-# inputs samples without it), and a caller's value wins.
+# must run before numpy is first imported, if ever (a command on inputs
+# without exp or log samples without it), and a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-def _keep_freed_memory():
-    """Keep freed grid temporaries in the process.  glibc serves each
-    block over its mmap threshold (128 KiB at first) by mmap and unmaps it
-    on free, and trims the heap top past 128 KiB, so every grid check
-    faults its temporaries in afresh (a fifth of the CPU of the grid
-    benchmark workload, on a 2-core x86_64 machine).  Raise the mmap threshold to
-    glibc's 64-bit maximum and the trim threshold above it (setting only
-    the trim threshold would freeze the mmap threshold at 128 KiB).  A
-    no-op without glibc's mallopt; a caller's MALLOC_MMAP_THRESHOLD_ or
-    MALLOC_TRIM_THRESHOLD_ wins."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_mmap_threshold, m_trim_threshold = -3, -1     # from <malloc.h>
-    for env, param, value in (
-            ("MALLOC_MMAP_THRESHOLD_", m_mmap_threshold, 32 << 20),
-            ("MALLOC_TRIM_THRESHOLD_", m_trim_threshold, 128 << 20)):
-        if env not in os.environ:
-            mallopt(param, value)
-
-
-_keep_freed_memory()
 
 from . import expr as ex  # noqa: E402
 from . import geometry as geo  # noqa: E402
@@ -578,7 +550,7 @@ def cmd_derive(args, kw):
         fiber = getattr(obj, "fiber_hint", None)
         try:
             A = alg.from_linear_bivector(P, fiber_names=fiber, **kw)
-        except (alg.LinearityError, AssertionError) as err:
+        except alg.LinearityError as err:
             raise InputError(f"{args.structure}: not a fiberwise-linear "
                              f"bivector ({err})") from err
         emit_algebroid(out, A)
@@ -631,6 +603,15 @@ def _grid_error(grid, err) -> str:
             f"grid: {err}")
 
 
+def _refuse_unknown(fld, **known):
+    """InputError naming field names (maps, pi, fiber) the structure lacks."""
+    for sec, names in known.items():
+        unknown = [n for n in fld[sec] if n not in names]
+        if unknown:
+            what = "generators" if sec == "fiber" else "target coordinates"
+            raise InputError(f"[{sec}] names unknown {what} {unknown}")
+
+
 def cmd_verify(args, kw):
     kind, obj = parse_structure(args.structure)
     fld = parse_field(args.field)
@@ -646,6 +627,7 @@ def cmd_verify(args, kw):
             J = obj.jacobi_data()
         else:
             J = JacobiPair(obj.chart, obj, geo.mvf(obj.chart, 1, {}))
+        _refuse_unknown(fld, maps=J.chart.names, pi=J.chart.names)
         F = field_config(fld)
         if variant in ("homogeneous", "reduced"):
             try:
@@ -712,11 +694,7 @@ def cmd_verify(args, kw):
         missing = [n for n in A.base.names if n not in fld["maps"]]
         if missing:
             raise InputError(f"[maps] is missing target coordinates {missing}")
-        for sec, what, known in (("maps", "target coordinates", A.base.names),
-                                 ("fiber", "generators", A.generators)):
-            unknown = [n for n in fld[sec] if n not in known]
-            if unknown:
-                raise InputError(f"[{sec}] names unknown {what} {unknown}")
+        _refuse_unknown(fld, maps=A.base.names, fiber=A.generators)
         try:
             phi0 = SmoothMap(ch, A.base,
                              {n: fld["maps"][n] for n in A.base.names})
@@ -849,6 +827,7 @@ def _guard_message(err: ex.EvaluationError) -> str:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    ex._walk_left = ex._WALK_POINTS     # one command: see expr._walks
     kw = dict(tol=args.tol, trials=args.trials, seed=args.seed)
     t0 = time.perf_counter()
     try:

@@ -41,15 +41,16 @@ halton_point in the same order, so the columns hold its floats exactly.  A
 point is built as a dict of Python floats only where a caller needs one
 (the max_abs witness, each point sample_values yields, halton_points, a
 guard that trips), in halton_point's sorted-name key order.  The walk, in a
-process that has not loaded numpy, evaluates an expression free of
-sin/cos/exp/log with the scalar evaluate at each point of halton_point;
-a set of over _WALK_TRIALS points, or a function node, imports numpy for
-the array pass instead.  Both give the per-point scalar values bit for bit:
-sums, products, quotients and numpy's sin/cos/exp/log (which can differ
-from libm's in the last bit, so a function node keeps them) round the same
-way on arrays as on scalars, and the array pass raises each element with
-Python's ** (libm), since numpy's SIMD power differs from libm pow in the
-last bit.
+one-shot command that has not loaded numpy, evaluates an expression free
+of exp and log with the scalar evaluate at each point of halton_point,
+within the limits of _walks (so do the atlas chain checks); past them, at
+an exp or log node, or in a library process, numpy is imported for the
+array pass.  Both give the scalar values bit for bit: sums, products,
+quotients and numpy's exp/log round the same way on arrays as on scalars,
+a scalar's sin and cos are libm's, equal to numpy's (tests/test_expr.py
+checks it), and the array pass raises each element with Python's **
+(libm), since numpy's SIMD power differs from libm pow in the last bit.
+The stand-in np, shared by expr and sigma, imports numpy at its first use.
 
 Evaluation is one recursion over the tree, on floats or broadcasting
 numpy arrays.  A caller that evaluates a tree with shared subtrees on
@@ -76,12 +77,14 @@ from ._records import record
 
 
 class _Numpy:
-    """numpy, imported at its first use (see the module docstring)."""
+    """numpy at its first use; a read from a module's code puts numpy in
+    that module's globals in place of this instance."""
 
     def __getattr__(self, name):
-        global np
-        import numpy as np
-        return getattr(np, name)
+        caller = sys._getframe(1).f_globals
+        if caller.get("np") is self:
+            caller["np"] = __import__("numpy")
+        return getattr(__import__("numpy"), name)
 
 
 np = _Numpy()
@@ -463,22 +466,23 @@ def is_exact_zero(e) -> bool:
     return type(e) is Num and not e.value.numerator
 
 
-def _has(e: Expression, cls) -> bool:
-    """Does a node of class cls occur in e?  Stops at the first one."""
-    if isinstance(e, cls):
+def _has(e: Expression, cls, fns=_FN_NAMES) -> bool:
+    """Does a node of class cls (a function node: one of fns) occur in e?
+    Stops at the first one."""
+    if isinstance(e, cls) and (cls is not Fn or e.fn in fns):
         return True
     if isinstance(e, (Num, Pi, Var)):
         return False
     if isinstance(e, Add):
-        return any(_has(t, cls) for t in e.terms)
+        return any(_has(t, cls, fns) for t in e.terms)
     if isinstance(e, Mul):
-        return any(_has(f, cls) for f in e.factors)
+        return any(_has(f, cls, fns) for f in e.factors)
     if isinstance(e, Pow):
-        return _has(e.base, cls)
+        return _has(e.base, cls, fns)
     if isinstance(e, Div):
-        return _has(e.num, cls) or _has(e.den, cls)
+        return _has(e.num, cls, fns) or _has(e.den, cls, fns)
     if isinstance(e, Fn):
-        return _has(e.arg, cls)
+        return _has(e.arg, cls, fns)
     raise TypeError(type(e))
 
 
@@ -585,6 +589,7 @@ def substitute(e: Expression, repl: Mapping[str, ExprLike]) -> Expression:
 _DIV_EPS = 1e-12
 _EXP_MAX = 700.0
 _UFUNCS = {n: lambda a, n=n: getattr(np, n)(a) for n in _FN_NAMES}
+_LIBM = {"sin": math.sin, "cos": math.cos}
 
 
 def _any(mask) -> bool:
@@ -635,9 +640,9 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
     A scalar from sin/cos/exp/log is turned into a Python float, whose
     arithmetic overflows to inf without numpy's warning and whose power
     raises OverflowError; an overflow on an array is inf too.  Either way
-    one EvaluationError is raised.  The sine or cosine of an infinite
-    scalar is numpy's nan, without its warning.  Only a function node
-    imports numpy: Python floats never touch it.
+    one EvaluationError is raised.  The sine or cosine of a Python float
+    is libm's, and nan for an infinite one.  Only exp and log take a
+    Python float through numpy.
     """
     ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
 
@@ -684,8 +689,8 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
                 raise EvaluationError("exp overflow", point)
             if t.fn == "log" and _any(a <= 0):
                 raise EvaluationError("log of a non-positive value", point)
-            if type(a) is float and math.isinf(a) and t.fn in ("sin", "cos"):
-                return math.nan
+            if type(a) is float and t.fn in _LIBM:
+                return math.nan if math.isinf(a) else _LIBM[t.fn](a)
             r = _UFUNCS[t.fn](a)
             return r if type(r) is ndarray else float(r)
         if cls is Pi:
@@ -840,10 +845,14 @@ def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
 # built for its call and not kept.
 _CACHE_ENTRIES = 64
 _CACHE_COORDS = 64 * 64
-# Without numpy, _sample walks a set of at most this many points and
-# imports numpy for a larger one: a cold `jsm check` of contact-k1 costs
-# the same CPU either way at about 768 points.
+# Without numpy a process walks sets of at most _WALK_TRIALS points,
+# _walk_left in all, then imports numpy.  A library process samples on and
+# walks none; cli.main, a one-shot command, sets _WALK_POINTS: a cold `jsm
+# check` of contact-k1 (23 nodes a point) costs the same CPU either way at
+# about 768 points a set, 8,400 in all; a dimension-9 check has 55 a point.
 _WALK_TRIALS = 512
+_WALK_POINTS = 4096
+_walk_left = 0
 _HALTON_CACHE: OrderedDict = OrderedDict()
 _HALTON_ROWS: OrderedDict = OrderedDict()
 
@@ -875,11 +884,14 @@ def _halton_rows(trials: int, seed: int, k: int) -> np.ndarray:
 
 
 def _halton_set(box: Mapping[str, tuple], trials: int, seed: int,
-                walk: bool = False) -> dict:
+                walk: bool = None) -> dict:
     """The sample set of trials 0..trials-1 as columns: one float array per
-    coordinate (array.array of halton_point's floats, for the walk), in
-    sorted name order, element i the coordinate of halton_point(box, i,
-    seed).  Shared with the cache; do not mutate."""
+    coordinate (array.array of halton_point's floats, for the walk, which
+    walk=None takes if numpy is not loaded), in sorted name order, element
+    i the coordinate of halton_point(box, i, seed).  Shared with the cache;
+    do not mutate."""
+    if walk is None:
+        walk = not sys.modules.get("numpy")
     key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed,
            walk)
     cols = _HALTON_CACHE.get(key)
@@ -904,10 +916,10 @@ def _halton_set(box: Mapping[str, tuple], trials: int, seed: int,
 
 
 def _point_dicts(cols: Mapping[str, np.ndarray], n: int) -> list:
-    """The n points of cols as fresh dicts of Python floats, each in the
-    key order of cols."""
+    """The n points of cols (float arrays or lists of Python floats) as
+    fresh dicts of Python floats, each in the key order of cols."""
     names = list(cols)
-    rows = [c.tolist() for c in cols.values()]
+    rows = [c if type(c) is list else c.tolist() for c in cols.values()]
     return [dict(zip(names, p)) for p in (zip(*rows) if rows else [()] * n)]
 
 
@@ -938,23 +950,34 @@ def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
     return v.tolist() if isinstance(v, np.ndarray) else [v] * n
 
 
-def _point_array(e: Expression, cols: Mapping[str, np.ndarray], n: int):
-    """_point_values as a float array: if a guard trips, the error a scalar
-    evaluation raises at the first bad point."""
-    return np.array(list(_point_values(e, cols, n)), dtype=float)
+def _walks(n: int) -> bool:
+    """Whether to walk a set of n points (see _walk_left); counts them."""
+    global _walk_left
+    if sys.modules.get("numpy") or n > min(_WALK_TRIALS, _walk_left):
+        return False
+    _walk_left -= n
+    return True
+
+
+def _column_values(e: Expression, cols: Mapping[str, list], n: int) -> list:
+    """evaluate(e, point) at each of n points, cols one list of Python
+    floats per name, by the walk or the array pass (_walks).  If a guard
+    trips, the error a scalar evaluation raises at the first bad point."""
+    if _walks(n):
+        return [evaluate(e, p) for p in _point_dicts(cols, n)]
+    return list(_point_values(e, {k: np.array(c) for k, c in cols.items()}, n))
 
 
 def _sample(e: Expression, box: Mapping[str, tuple], trials: int, seed: int):
     """(columns, values): the box's sample set and e's value at each of its
-    points, by the array pass (_point_values) or, if numpy is not loaded,
-    e has no function node and trials <= _WALK_TRIALS, by the walk: the
-    scalar evaluate at each point, lazily.  Raises ValueError when trials <
+    points, by the array pass (_point_values) or, if e has no exp or log
+    node and _walks(trials), by the walk: the scalar evaluate at each
+    point, lazily.  Raises ValueError when trials <
     1, since a check over no points would pass vacuously, and when a guard
     trips because the box lacks a variable of e."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    walk = not (sys.modules.get("numpy") or trials > _WALK_TRIALS
-                or _has(e, Fn))
+    walk = _walks(trials) and not _has(e, Fn, ("exp", "log"))
     cols = _halton_set(box, trials, seed, walk)
     values = ((evaluate(e, p) for p in _point_dicts(cols, trials)) if walk
               else _point_values(e, cols, trials))

@@ -452,19 +452,18 @@ def _extended_overlap_maps(atlas: LineBundleAtlas, ov: Overlap, s_name: str):
     return fwd, inv
 
 
-def _inside(cols: Mapping, box: Mapping, n: int) -> np.ndarray:
-    """Mask of the n points of cols with lo < x < hi on every coordinate of
-    the box, each Python float compared with the bounds as they are."""
-    import numpy as np      # the atlas chain checks work on arrays
-    inside = np.ones(n, dtype=bool)
+def _inside(cols: Mapping, box: Mapping, n: int) -> list:
+    """Mask of the n points of cols (lists of floats) with lo < x < hi on
+    every coordinate of the box, compared with the bounds as they are."""
+    inside = [True] * n
     for name, (lo, hi) in box.items():
-        inside &= [lo < x < hi for x in cols[name].tolist()]
+        inside = [m and lo < x < hi for m, x in zip(inside, cols[name])]
     return inside
 
 
-def _select(cols: Mapping, mask: np.ndarray) -> dict:
+def _select(cols: Mapping, mask: list) -> dict:
     """The points of cols where mask holds, in the key order of cols."""
-    return {n: c[mask] for n, c in cols.items()}
+    return {n: [x for x, m in zip(c, mask) if m] for n, c in cols.items()}
 
 
 def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
@@ -508,29 +507,34 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
             "gluing_ok": dev <= tol, "gluing_max": dev,
         })
 
+    def far(a, b):
+        # called once every value is computed, so guards trip as before
+        return any(abs(x - y) > 10 * tol for x, y in zip(a, b))
+
     chain_checks = []
     for i, o1 in enumerate(atlas.overlaps):
         for j, o2 in enumerate(atlas.overlaps):
             if o1.dst != o2.src:
                 continue
             # sample src points whose image lands in o2's box
-            pts = ex._halton_set(o1.src_box, trials, seed)
-            img = {n: ex._point_array(o1.fwd.comps[n], pts, trials)
+            pts = {n: c.tolist() for n, c in
+                   ex._halton_set(o1.src_box, trials, seed).items()}
+            img = {n: ex._column_values(o1.fwd.comps[n], pts, trials)
                    for n in o1.fwd.dst.names if n in o2.src_box}
             inside = _inside(img, o2.src_box, trials)
-            if not inside.any():
+            if not any(inside):
                 continue
             pts, img = _select(pts, inside), _select(img, inside)
-            k = int(inside.sum())
-            g_prod = (ex._point_array(o2.g, img, k)
-                      * ex._point_array(o1.g, pts, k))
+            k = sum(inside)
+            g_prod = [a * b for a, b in zip(ex._column_values(o2.g, img, k),
+                                            ex._column_values(o1.g, pts, k))]
             if o1.src == o2.dst:
                 # closed chain: composite must be the identity with g = 1
-                bad = abs(g_prod - 1.0) > 10 * tol
+                bad = far(g_prod, [1.0] * k)
                 for n in o2.fwd.dst.names:
-                    back = ex._point_array(o2.fwd.comps[n], img, k)
-                    bad |= abs(back - pts[n]) > 10 * tol
-                checked, ok = k, not bad.any()
+                    bad |= far(ex._column_values(o2.fwd.comps[n], img, k),
+                               pts[n])
+                checked, ok = k, not bad
             else:
                 # open chain: compare against a declared composite overlap
                 checked, ok = 0, True
@@ -538,17 +542,17 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
                     if o3.src != o1.src or o3.dst != o2.dst:
                         continue
                     sel = _inside(pts, o3.src_box, k)
-                    m = int(sel.sum())
+                    m = sum(sel)
                     if not m:
                         continue
                     pt3, img3 = _select(pts, sel), _select(img, sel)
-                    g3 = ex._point_array(o3.g, pt3, m)
-                    bad = abs(g3 - g_prod[sel]) > 10 * tol
+                    bad = far(ex._column_values(o3.g, pt3, m),
+                              [g for g, s in zip(g_prod, sel) if s])
                     for n in o2.fwd.dst.names:
-                        comp = ex._point_array(o2.fwd.comps[n], img3, m)
-                        dec = ex._point_array(o3.fwd.comps[n], pt3, m)
-                        bad |= abs(comp - dec) > 10 * tol
-                    ok = ok and not bad.any()
+                        comp = ex._column_values(o2.fwd.comps[n], img3, m)
+                        dec = ex._column_values(o3.fwd.comps[n], pt3, m)
+                        bad |= far(comp, dec)
+                    ok = ok and not bad
                     checked += m
             if checked:
                 chain_checks.append({"via": f"{o1.src}->{o1.dst}->{o2.dst}"

@@ -70,18 +70,45 @@ import math
 from dataclasses import field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import expr as ex
 from ._records import record
 from . import geometry as geo
 from . import jacobi as jac
 from . import algebroid as alg
-from .expr import Expression, var
+from .expr import Expression, np, var      # numpy at its first use
 from .geometry import (ACTION_VARIANTS, Chart, DifferentialForm,
                        MultivectorField, SmoothMap, _check_t_extent,
                        source_chart)
 from .jacobi import JacobiPair, HomogeneousPoisson, LineBundleAtlas, Overlap
+
+
+def _keep_freed_memory():
+    """Keep freed grid temporaries in the process.  glibc serves each
+    block over its mmap threshold (128 KiB at first) by mmap and unmaps it
+    on free, and trims the heap top past 128 KiB, so every grid check
+    faults its temporaries in afresh (a fifth of the CPU of the grid
+    benchmark workload, on a 2-core x86_64 machine).  Raise the mmap
+    threshold to glibc's 64-bit maximum and the trim threshold above it
+    (setting only the trim threshold would freeze the mmap threshold at
+    128 KiB).  A no-op without glibc's mallopt; a caller's
+    MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ wins."""
+    import ctypes
+    import os
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_mmap_threshold, m_trim_threshold = -3, -1     # from <malloc.h>
+    for env, param, value in (
+            ("MALLOC_MMAP_THRESHOLD_", m_mmap_threshold, 32 << 20),
+            ("MALLOC_TRIM_THRESHOLD_", m_trim_threshold, 128 << 20)):
+        if env not in os.environ:
+            mallopt(param, value)
+
+
+_keep_freed_memory()    # at import: set later, grid_fd ran 4% slower
 
 S_FLOOR = 1e-6
 BUILTIN_EXAMPLES = ("contact-k", "moebius", "almost-poisson-family1",
@@ -533,8 +560,9 @@ def _check_node_scale(vals, where: str):
     """Raise ValueError when the scale field takes both signs over its
     values at nodes or sample points (a continuous s then vanishes between
     two of them) or drops below S_FLOOR at one; where names the nodes or
-    points.  One min and one max give min |s| without an |s| array."""
-    lo, hi = float(np.min(vals)), float(np.max(vals))
+    points.  One min and one max (builtins on a list) give min |s|."""
+    lo, hi = ((min(vals), max(vals)) if type(vals) is list
+              else (float(np.min(vals)), float(np.max(vals))))
     if lo < 0 < hi:
         raise ValueError(f"scale field drops below 1e-06 {where}: "
                          "it changes sign there")

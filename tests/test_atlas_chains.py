@@ -7,7 +7,11 @@ inside) and on fixed ones (an image on a box boundary, errors on either
 side of the tolerance) both give the same chain list: the same pairs,
 point counts and verdicts."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +202,35 @@ def test_chain_checks_of_the_moebius_atlases():
             got = jac.atlas_check(atlas, **kw).chain_checks
             assert got and (_exactly(got) == _exactly(
                 _reference_chain_checks(atlas, **kw)))
+
+
+MOEBIUS_REPORTS = """
+import sys
+from jacobisigma import jacobi as jac, sigma as sg
+for kw in (dict(), dict(trials=16, seed=5), dict(tol=1e-3)):
+    print(repr(jac.atlas_check(sg.moebius_atlas(flat=sys.argv[1] == "flat"),
+                               **kw)))
+print(bool(sys.modules.get("numpy")))
+"""
+
+
+@pytest.mark.parametrize("flat", ["curved", "flat"])
+def test_moebius_atlas_reports_equal_with_and_without_numpy(flat):
+    """A process that cannot import numpy runs the chain checks on floats
+    by the walk; one with numpy loaded, by the array pass.  The reports are
+    equal, every float by its repr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    # without numpy, and without a limit on the points walked
+    for prelude in ("import sys; sys.modules['numpy'] = None\n"
+                    "import jacobisigma.expr as ex; ex._walk_left = 10 ** 9\n",
+                    "import numpy\n"):
+        out.append(subprocess.run(
+            [sys.executable, "-c", prelude + MOEBIUS_REPORTS, flat],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True).stdout.splitlines())
+    assert out[0][-1] == "False" and out[1][-1] == "True"
+    assert out[0][:-1] == out[1][:-1] and len(out[0]) == 4
 
 
 def test_an_image_on_the_box_boundary_is_outside():

@@ -17,7 +17,8 @@ def test_cold_start_prints_every_stage_and_the_thread_count():
     assert out[1].split() == ["stage", "cpu_s", "wall_s"]
     stages = ["python -c pass", "import numpy", "import jacobisigma.cli",
               "import cli, os._exit(0)", "jsm check contact-k1",
-              "jsm verify a10 family1", "jsm example contact-k"]
+              "jsm verify a10 family1", "jsm check moebius-atlas",
+              "jsm example contact-k"]
     assert len(out) == 2 + len(stages) + 1
     for name, line in zip(stages, out[2:]):
         assert re.fullmatch(re.escape(name) + r" +\d+\.\d{3} +\d+\.\d{3}", line)

@@ -427,17 +427,21 @@ def _sampled(cases):
     return res
 
 
-def rational_nodes(child):
+def walk_nodes(child):
+    """The nodes the walk takes: rational ones, sin and cos."""
     return st.one_of(
         st.tuples(child, child).map(lambda ab: ex.sub(*ab)),
         st.tuples(child, child).map(lambda ab: ex.mul(*ab)),
         st.tuples(child, child).map(_or_first(ex.div)),
         st.tuples(child, st.integers(-3, 60)).map(_or_first(ex.pow_)),
+        child.map(ex.sin),
+        child.map(ex.cos),
     )
 
 
 # boxes that may lack a variable of the tree, pin a coordinate, put a
-# denominator under 1e-12 or make a power or product overflow
+# denominator under 1e-12 or make a power or product overflow (and a sine
+# or cosine of it nan)
 _walk_boxes = st.dictionaries(st.sampled_from(VARS), st.sampled_from((
     (-1.0, 1.0), (0.25, 0.25), (-1, 2), (-1e-13, 1e-13), (1e100, 1e120))))
 
@@ -445,7 +449,7 @@ _walk_boxes = st.dictionaries(st.sampled_from(VARS), st.sampled_from((
 @st.composite
 def _walk_cases(draw):
     e = draw(st.recursive(st.one_of(leaves(), st.just(ex.PI)),
-                          rational_nodes, max_leaves=10))
+                          walk_nodes, max_leaves=10))
     box, trials = draw(_walk_boxes), draw(st.integers(1, 70))
     seed, pole = draw(st.integers(0, 2 ** 31)), draw(st.integers(0, 80))
     if "x" in box and pole < trials:     # a pole at sample point `pole`
@@ -455,13 +459,21 @@ def _walk_cases(draw):
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(_walk_cases(), min_size=1, max_size=30))
+@example([["sin(x*y)", {"x": (1e200, 1e220), "y": (1e200, 1e220)}, 8, 3,
+           0],                                                 # sin(inf)
+          ["cos(x*y) + sin(x)^3", {"x": (-4, 4), "y": (-100, 100)}, 70, 5,
+           1e-9]])
 def test_the_walk_without_numpy_equals_the_array_pass(cases):
-    """A process in which numpy cannot be imported samples rational trees
-    by the walk of halton_point and the scalar evaluate; this one, with
-    numpy loaded, by the array pass.  Values, verdicts, witnesses and the
-    first error are the same, bit for bit."""
+    """A process in which numpy cannot be imported samples trees without
+    exp or log (sin and cos by libm) by the walk of halton_point and the
+    scalar evaluate; this one, with numpy loaded, by the array pass.
+    Values, verdicts, witnesses and the first error are the same, bit for
+    bit."""
     cases = json.loads(json.dumps(cases))
+    # a process without numpy, and without the limit on the points a
+    # one-shot command walks (_walk_left)
     code = ("import json, sys\nsys.modules['numpy'] = None\n"
+            "import jacobisigma.expr\njacobisigma.expr._walk_left = 10 ** 9\n"
             + inspect.getsource(_sampled)
             + "print(json.dumps(_sampled(json.loads(sys.stdin.read()))))")
     child = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases),
@@ -470,6 +482,56 @@ def test_the_walk_without_numpy_equals_the_array_pass(cases):
                            capture_output=True, text=True, check=True)
     assert sys.modules.get("numpy") is not None
     assert json.loads(child.stdout) == _sampled(cases)
+
+
+@pytest.mark.parametrize("walk_left, walked_sets", [
+    ("ex._WALK_POINTS", 8),          # a one-shot command, as cli.main sets
+    ("0", 0)])                       # a library process
+def test_a_process_walks_its_limit_then_takes_the_array_pass(walk_left,
+                                                             walked_sets):
+    """Without numpy a one-shot command walks at most _WALK_POINTS points
+    and a library process none; the next set imports numpy for the array
+    pass, so a process that samples on pays the import once.  Values and
+    witnesses are those of the array pass throughout."""
+    e, box = "x*y/(1 + x^2) - y^3 + pi*x", {"x": (-1.0, 1.0), "y": (0, 2)}
+    code = ("import json, sys\nfrom jacobisigma import expr as ex\n"
+            f"ex._walk_left = {walk_left}\n"
+            f"e, box, out = ex.parse({e!r}), {box!r}, []\n"
+            "for seed in range(20):\n"
+            "    m, w = ex.max_abs(e, box, trials=512, seed=seed)\n"
+            "    out.append([m.hex(), w, 'numpy' in sys.modules])\n"
+            "print(json.dumps(out))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           env=dict(os.environ, PYTHONPATH=str(
+                               Path(__file__).resolve().parents[1] / "src")),
+                           capture_output=True, text=True, check=True)
+    got = json.loads(child.stdout)
+    assert ex._WALK_POINTS == 8 * 512
+    assert ([loaded for *_, loaded in got]
+            == [False] * walked_sets + [True] * (20 - walked_sets))
+    for seed, (m, w, _) in enumerate(got):
+        want = ex.max_abs(ex.parse(e), box, trials=512, seed=seed)
+        assert [m, w] == [want[0].hex(), want[1]]
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_numpy_sin_and_cos_equal_libms(fn):
+    """The walk takes libm's sin and cos and the array pass numpy's, so a
+    report would depend on numpy's presence where they differed.  On this
+    platform they must agree bit for bit: 10^5 seeded arguments each on
+    [-4, 4], [-100, 100] and magnitudes 2^-1074 .. 2^1023 of either
+    sign."""
+    rng = np.random.default_rng(0x51C05)
+    n = 100_000
+    args = np.concatenate((
+        rng.uniform(-4, 4, n), rng.uniform(-100, 100, n),
+        np.exp2(rng.uniform(-1074, 1023, n)) * rng.choice((-1.0, 1.0), n)))
+    libm = getattr(math, fn)
+    got = getattr(np, fn)(args).tolist()
+    want = [libm(x) for x in args.tolist()]
+    bad = [x for x, a, b in zip(args.tolist(), got, want)
+           if a.hex() != b.hex()]
+    assert not bad, f"{len(bad)} differ, first at {bad[0]!r}"
 
 
 def test_max_abs_witness_is_the_first_maximum():
