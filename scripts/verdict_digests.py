@@ -19,7 +19,8 @@ prints:
   report, and for a `derive` the sha256 of the file it writes.  Each runs
   as its own cold `python -m jacobisigma.cli` process, so that it samples
   as a user's command does: a process that has not loaded numpy samples
-  trees without exp or log without it;
+  trees without exp or log on columns of Python floats (the exp cases,
+  `example contact-k` and `verify` with a grid, keep the array pass);
 * one line per run of the grid scripts (`convergence_study.py` in both
   variants, `holonomy_sweep.py`), which exercise grid code that no CLI case
   covers: the sha256 of what the script prints;
@@ -87,13 +88,12 @@ def cli_cases():
     `derive` writes its file in the directory the case runs in."""
     cases = [(f"check {p.name}", ["check", str(p)])
              for p in sorted((ROOT / "structures").glob("*.ini"))]
-    # 4096 trials: a sample set as large as a grid block, past the limit of
-    # the walk, so the array pass samples it
+    # 4096 trials: a sample set as large as a grid block, on which the cold
+    # process makes its column pass over Python floats
     cases += [("check contact-k1.ini --trials 4096",
                ["check", str(ROOT / "structures/contact-k1.ini"),
                 "--trials", "4096"]),
-              # over the walk's limit, so the atlas chain checks take the
-              # array pass in the cold process
+              # the atlas chain checks' column pass on a larger sample set
               ("check moebius-atlas.ini --trials 600",
                ["check", str(ROOT / "structures/moebius-atlas.ini"),
                 "--trials", "600"])]

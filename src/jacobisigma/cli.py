@@ -288,7 +288,7 @@ def parse_structure(path):
                                     SmoothMap(s_chart, d_chart, fwd),
                                     SmoothMap(d_chart, s_chart, inv),
                                     g, src_box, dst_box))
-        except AssertionError as err:
+        except geo.MapError as err:
             raise InputError(f"{path}: [{sec}] {err}") from err
     return kind, LineBundleAtlas(charts, overlaps)
 
@@ -827,7 +827,7 @@ def _guard_message(err: ex.EvaluationError) -> str:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    ex._walk_left = ex._WALK_POINTS     # one command: see expr._walks
+    ex._one_shot = True     # one command: see expr._point_values
     kw = dict(tol=args.tol, trials=args.trials, seed=args.seed)
     t0 = time.perf_counter()
     try:

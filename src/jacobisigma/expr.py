@@ -29,48 +29,35 @@ Schouten brackets of the check differentiate.
 
 Numeric zero-testing (is_zero) samples a Halton sequence over a named box;
 the sample points are a pure function of (seed, trial index), so every run
-with the same arguments sees the same points.  Sampling takes one of two
-paths.  The array pass builds the points of a (box, trials, seed) once,
-kept in a bounded cache as one column per coordinate, and evaluates an
-expression on all columns at once.  A column is lo + (hi - lo) * r, with r
-the radical inverses in that coordinate's prime of all trial indices; those
-rows depend only on (trials, seed), so a second bounded cache keeps them
-for every box sampled under the same (trials, seed), grown when a wider box
-needs more primes.  Each element goes through the operations of the scalar
-halton_point in the same order, so the columns hold its floats exactly.  A
-point is built as a dict of Python floats only where a caller needs one
+with the same arguments sees the same points.  A sample set is kept as one
+column per coordinate (_halton_set), each element made by the operations of
+the scalar halton_point in the same order, and an expression is evaluated
+on all columns in one pass (_point_values).  Only the column type varies:
+float arrays, or _Floats (lists of Python floats) in a one-shot command
+(_one_shot, which cli.main sets) that has not loaded numpy, for a tree
+without exp or log.  Both give the scalar values bit for bit: sums,
+products, quotients and numpy's exp/log round the same way on arrays as on
+scalars, a float's sin and cos are libm's, equal to numpy's
+(tests/test_expr.py checks it), and both raise each element with Python's
+** (libm), since numpy's SIMD power differs from libm pow in the last bit.
+A point is built as a dict of Python floats only where a caller needs one
 (the max_abs witness, each point sample_values yields, halton_points, a
-guard that trips), in halton_point's sorted-name key order.  The walk, in a
-one-shot command that has not loaded numpy, evaluates an expression free
-of exp and log with the scalar evaluate at each point of halton_point,
-within the limits of _walks (so do the atlas chain checks); past them, at
-an exp or log node, or in a library process, numpy is imported for the
-array pass.  Both give the scalar values bit for bit: sums, products,
-quotients and numpy's exp/log round the same way on arrays as on scalars,
-a scalar's sin and cos are libm's, equal to numpy's (tests/test_expr.py
-checks it), and the array pass raises each element with Python's **
-(libm), since numpy's SIMD power differs from libm pow in the last bit.
-The stand-in np, shared by expr and sigma, imports numpy at its first use.
-
-Evaluation is one recursion over the tree, on floats or broadcasting
-numpy arrays.  A caller that evaluates a tree with shared subtrees on
-large arrays (sigma, on the row blocks of a grid) passes the tree's
-_shared_nodes: a node object referenced several times is then evaluated
-once and its value held until its last reference reads it.  Which trees
-and points are worth that is the caller's choice; the values and guard
-trips are those of the plain recursion, bit for bit, and callers' arrays
-are only read.
+guard that trips), in halton_point's sorted-name key order.  Evaluation is
+one recursion over the tree (_evaluate), on floats, numpy arrays or
+_Floats; callers' arrays are only read.  The stand-in np, shared by expr
+and sigma, imports numpy at its first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
-from array import array
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import groupby
+from functools import partialmethod
+from itertools import groupby, repeat
 from typing import Iterable, Mapping, Union
 
 from ._records import record
@@ -592,9 +579,36 @@ _UFUNCS = {n: lambda a, n=n: getattr(np, n)(a) for n in _FN_NAMES}
 _LIBM = {"sin": math.sin, "cos": math.cos}
 
 
+class _Floats(list):
+    """A column of Python floats, which _evaluate takes as it takes a float
+    array: + * / ** and abs act element by element, ** by Python's (libm)
+    pow, and `<` asks whether any element is below (a guard's question)."""
+
+    def _map(self, op, other):
+        return _Floats(map(op, self, other if type(other) is _Floats
+                           else repeat(other)))
+
+    # IEEE sums and products commute exactly
+    __add__ = __radd__ = partialmethod(_map, operator.add)
+    __mul__ = __rmul__ = partialmethod(_map, operator.mul)
+    __truediv__ = partialmethod(_map, operator.truediv)
+    __pow__ = partialmethod(_map, operator.pow)
+
+    def __rtruediv__(self, other):
+        return _Floats(map(operator.truediv, repeat(other), self))
+
+    def __abs__(self):
+        return _Floats(map(abs, self))
+
+    def __lt__(self, bound):
+        return any(v < bound for v in self)
+
+    tolist = list.copy      # a plain list, as ndarray.tolist gives
+
+
 def _any(mask) -> bool:
-    """Whether a guard's mask holds anywhere: a bool (from Python floats),
-    or a numpy bool or bool array."""
+    """Whether a guard's mask holds anywhere: a bool (from Python floats or
+    a _Floats), or a numpy bool or bool array."""
     return mask if mask.__class__ is bool else mask.any()
 
 
@@ -625,24 +639,24 @@ def _libm_pow(b: np.ndarray, k: int) -> np.ndarray:
 def _evaluate(e: Expression, point: Mapping[str, object], power,
               shared: dict = None):
     """The evaluation core; `power(base, k)` raises an array to an integer
-    (_np_pow or _libm_pow), while a scalar is raised as a Python float.
+    (_np_pow or _libm_pow), a scalar or a _Floats by Python's **.
 
     go gives a node its value from its children's values, which it asks
     of val, and holds every guard.  val is go itself, a plain recursion,
-    unless shared (see _shared_nodes) maps node ids to their references:
-    then a node referenced k times (by identity, not by structure) is
-    evaluated at its first reference and its value held until the last
-    one reads it, so memory follows the values live at once, not the size
-    of the tree.  Every operation makes a fresh value, so a held value is
-    never written; the values and the first guard to trip are those of the
-    plain recursion, bit for bit.
+    unless shared (see _shared_nodes; sigma passes it on a grid's row
+    blocks) maps node ids to their references: then a node referenced k
+    times (by identity, not by structure) is evaluated at its first
+    reference and its value held until the last one reads it, so memory
+    follows the values live at once, not the size of the tree.  Every
+    operation makes a fresh value, so a held value is never written; the
+    values and the first guard to trip are those of the plain recursion.
 
     A scalar from sin/cos/exp/log is turned into a Python float, whose
     arithmetic overflows to inf without numpy's warning and whose power
-    raises OverflowError; an overflow on an array is inf too.  Either way
-    one EvaluationError is raised.  The sine or cosine of a Python float
-    is libm's, and nan for an infinite one.  Only exp and log take a
-    Python float through numpy.
+    raises OverflowError; an overflow on a column is inf too.  Either way
+    one EvaluationError is raised, by a guard or by the one finiteness
+    check of the result.  sin and cos of a float are libm's, and nan at
+    ±inf.  Only exp and log take a float through numpy, never a _Floats.
     """
     ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
 
@@ -675,7 +689,7 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
             if type(b) is ndarray:
                 return power(b, t.exponent)
             try:
-                return float(b) ** t.exponent
+                return (b if type(b) is _Floats else float(b)) ** t.exponent
             except OverflowError:
                 raise EvaluationError("power overflow", point) from None
         if cls is Div:
@@ -689,8 +703,12 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
                 raise EvaluationError("exp overflow", point)
             if t.fn == "log" and _any(a <= 0):
                 raise EvaluationError("log of a non-positive value", point)
-            if type(a) is float and t.fn in _LIBM:
-                return math.nan if math.isinf(a) else _LIBM[t.fn](a)
+            f = _LIBM.get(t.fn)
+            if f is not None and type(a) is float:
+                return math.nan if math.isinf(a) else f(a)
+            if f is not None and type(a) is _Floats:
+                return _Floats([math.nan if math.isinf(v) else f(v)
+                                for v in a])
             r = _UFUNCS[t.fn](a)
             return r if type(r) is ndarray else float(r)
         if cls is Pi:
@@ -712,11 +730,13 @@ def _evaluate(e: Expression, point: Mapping[str, object], power,
             return v
     out = go(e)
     if isinstance(out, ndarray):
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("non-finite result", point)
-        return out
-    out = float(out)
-    if not math.isfinite(out):
+        finite = np.all(np.isfinite(out))
+    elif type(out) is _Floats:
+        finite = all(map(math.isfinite, out))
+    else:
+        out = float(out)
+        finite = math.isfinite(out)
+    if not finite:
         raise EvaluationError("non-finite result", point)
     return out
 
@@ -841,20 +861,13 @@ def halton_point(box: Mapping[str, tuple], trial: int, seed: int) -> dict:
 # they are built from, kept per (trials, seed) as one row per prime: every
 # box sampled under the same (trials, seed) shares the rows, and a wider box
 # adds the rows it lacks.  Both are bounded LRUs, since every fresh seed
-# makes new entries; an entry of more than _CACHE_COORDS coordinates is
-# built for its call and not kept.
+# makes new entries; an entry of more than _CACHE_COORDS coordinates (a
+# set of 4,096 points in 8 coordinates) is built for its call and not kept.
 _CACHE_ENTRIES = 64
-_CACHE_COORDS = 64 * 64
-# Without numpy a process walks sets of at most _WALK_TRIALS points,
-# _walk_left in all, then imports numpy.  A library process samples on and
-# walks none; cli.main, a one-shot command, sets _WALK_POINTS: a cold `jsm
-# check` of contact-k1 (23 nodes a point) costs the same CPU either way at
-# about 768 points a set, 8,400 in all; a dimension-9 check has 55 a point.
-_WALK_TRIALS = 512
-_WALK_POINTS = 4096
-_walk_left = 0
+_CACHE_COORDS = 4096 * 8
 _HALTON_CACHE: OrderedDict = OrderedDict()
 _HALTON_ROWS: OrderedDict = OrderedDict()
+_one_shot = False
 
 
 def _keep(cache: OrderedDict, key, value):
@@ -883,31 +896,28 @@ def _halton_rows(trials: int, seed: int, k: int) -> np.ndarray:
     return rows
 
 
-def _halton_set(box: Mapping[str, tuple], trials: int, seed: int,
-                walk: bool = None) -> dict:
-    """The sample set of trials 0..trials-1 as columns: one float array per
-    coordinate (array.array of halton_point's floats, for the walk, which
-    walk=None takes if numpy is not loaded), in sorted name order, element
-    i the coordinate of halton_point(box, i, seed).  Shared with the cache;
-    do not mutate."""
-    if walk is None:
-        walk = not sys.modules.get("numpy")
-    key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed,
-           walk)
+def _halton_set(box: Mapping[str, tuple], trials: int, seed: int) -> dict:
+    """The sample set of trials 0..trials-1 as columns, one per coordinate
+    in sorted name order, element i the coordinate of halton_point(box, i,
+    seed): float arrays, or _Floats if built without numpy.  Shared with
+    the cache; do not mutate."""
+    key = (tuple(sorted((n, tuple(b)) for n, b in box.items())), trials, seed)
     cols = _HALTON_CACHE.get(key)
     if cols is not None:
         _HALTON_CACHE.move_to_end(key)
         return cols
     names = sorted(box)
-    if walk:
-        points = [halton_point(box, i, seed) for i in range(trials)]
-        cols = {n: array("d", [p[n] for p in points]) for n in names}
+    lo = [float(box[n][0]) for n in names]
+    span = [float(box[n][1] - box[n][0]) for n in names]
+    # lo + (hi - lo) * u, element by element as in halton_point
+    if not sys.modules.get("numpy"):
+        start = _halton_start(seed)
+        cols = {n: _Floats([a + s * _radical_inverse(start + i, p)
+                            for i in range(trials)])
+                for n, a, s, p in zip(names, lo, span, _primes(len(names)))}
     else:
-        bounds = [box[n] for n in names]
-        lo = np.array([float(a) for a, _ in bounds])[:, None]
-        span = np.array([float(b - a) for a, b in bounds])[:, None]
-        # lo + (hi - lo) * u, element by element as in halton_point
-        block = lo + span * _halton_rows(trials, seed, len(names))[:len(names)]
+        block = (np.array(lo)[:, None] + np.array(span)[:, None]
+                 * _halton_rows(trials, seed, len(names))[:len(names)])
         block.flags.writeable = False
         cols = dict(zip(names, block))
     if trials * len(names) <= _CACHE_COORDS:
@@ -930,60 +940,43 @@ def halton_points(box: Mapping[str, tuple], trials: int, seed: int) -> list:
 
 def _point_values(e: Expression, cols: Mapping[str, np.ndarray], n: int):
     """evaluate(e, point) at each of n points, in order, as a list or an
-    iterator; cols holds the points' coordinates, one float array of
-    length n per name.
+    iterator; cols holds one column of length n per name, all float arrays,
+    _Floats or lists of Python floats (which become arrays if need be).
 
-    One array pass, with numpy's warnings off, makes the list; its values
-    equal the scalar evaluation bit for bit.  If the pass trips a guard,
-    the iterator walks the points one at a time instead, each a fresh dict
-    of Python floats taken from cols in its key order: the values before
-    the first bad point still come out, and that point raises the error a
-    scalar evaluation there raises.
+    One column pass makes the list: on _Floats in a one-shot command that
+    has not loaded numpy, for e without exp or log, else on float arrays
+    with numpy's warnings off.  If it trips a guard, the iterator walks the
+    points one at a time (fresh dicts of Python floats in the key order of
+    cols): the values before the first bad point, then the error a scalar
+    evaluation raises there.
     """
     try:
-        with np.errstate(all="ignore"):
-            v = _evaluate(e, cols, _libm_pow)
+        if (_one_shot and not sys.modules.get("numpy")
+                and not _has(e, Fn, ("exp", "log"))):
+            v = _evaluate(e, {k: _Floats(c) for k, c in cols.items()}, None)
+        else:
+            if isinstance(next(iter(cols.values()), None), list):
+                cols = {k: np.array(c) for k, c in cols.items()}
+            with np.errstate(all="ignore"):
+                v = _evaluate(e, cols, _libm_pow)
     except ArithmeticError:
         # a guard, a variable cols lacks, or OverflowError from a libm power
         return (evaluate(e, p) for p in _point_dicts(cols, n))
-    # an array of length n, or a float when e has no variable
-    return v.tolist() if isinstance(v, np.ndarray) else [v] * n
-
-
-def _walks(n: int) -> bool:
-    """Whether to walk a set of n points (see _walk_left); counts them."""
-    global _walk_left
-    if sys.modules.get("numpy") or n > min(_WALK_TRIALS, _walk_left):
-        return False
-    _walk_left -= n
-    return True
-
-
-def _column_values(e: Expression, cols: Mapping[str, list], n: int) -> list:
-    """evaluate(e, point) at each of n points, cols one list of Python
-    floats per name, by the walk or the array pass (_walks).  If a guard
-    trips, the error a scalar evaluation raises at the first bad point."""
-    if _walks(n):
-        return [evaluate(e, p) for p in _point_dicts(cols, n)]
-    return list(_point_values(e, {k: np.array(c) for k, c in cols.items()}, n))
+    # a column of length n, or a float when e has no variable
+    return [v] * n if type(v) is float else v.tolist()
 
 
 def _sample(e: Expression, box: Mapping[str, tuple], trials: int, seed: int):
-    """(columns, values): the box's sample set and e's value at each of its
-    points, by the array pass (_point_values) or, if e has no exp or log
-    node and _walks(trials), by the walk: the scalar evaluate at each
-    point, lazily.  Raises ValueError when trials <
+    """(columns, values): the box's sample set (_halton_set) and e's value
+    at each of its points (_point_values).  Raises ValueError when trials <
     1, since a check over no points would pass vacuously, and when a guard
     trips because the box lacks a variable of e."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    walk = _walks(trials) and not _has(e, Fn, ("exp", "log"))
-    cols = _halton_set(box, trials, seed, walk)
-    values = ((evaluate(e, p) for p in _point_dicts(cols, trials)) if walk
-              else _point_values(e, cols, trials))
-    if isinstance(values, list):
-        return cols, values
-    return cols, _named_missing(e, box, values)
+    cols = _halton_set(box, trials, seed)
+    values = _point_values(e, cols, trials)
+    return cols, (values if isinstance(values, list)
+                  else _named_missing(e, box, values))
 
 
 def _named_missing(e: Expression, box: Mapping[str, tuple], values):
@@ -1003,11 +996,10 @@ def sample_values(e: Expression, box: Mapping[str, tuple], *,
                   trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
     """Yield (point, value) at the Halton points of the box, in trial order.
 
-    One array pass evaluates e on all points; its values equal evaluate(e,
-    point) bit for bit.  If a guard trips anywhere, the points are walked
-    one at a time instead, so the EvaluationError names the first bad point
-    and the values before it are still yielded.  Raises ValueError when
-    trials < 1: a check over no points would pass vacuously.
+    The values equal evaluate(e, point) bit for bit.  If a guard trips, the
+    values before the first bad point are yielded, and the EvaluationError
+    names that point (_point_values).  Raises ValueError when trials < 1:
+    a check over no points would pass vacuously.
     """
     cols, values = _sample(e, box, trials, seed)
     yield from zip(_point_dicts(cols, trials), values)

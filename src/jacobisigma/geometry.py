@@ -40,6 +40,10 @@ class ChartError(ValueError, AssertionError):
     when charts were validated by assert."""
 
 
+class MapError(ValueError, AssertionError):
+    """An invalid smooth map, as ChartError is for a chart."""
+
+
 @record
 class Chart:
     names: tuple
@@ -393,12 +397,14 @@ class SmoothMap:
     comps: dict  # dst name -> Expression in src coordinates
 
     def __post_init__(self):
-        assert set(self.comps) == set(self.dst.names), "need every target coordinate"
+        if set(self.comps) != set(self.dst.names):
+            raise MapError("need every target coordinate")
         self.comps = {k: ex.coerce(v) for k, v in self.comps.items()}
         src_names = set(self.src.names)
         for k, v in self.comps.items():
             extra = ex.free_vars(v) - src_names
-            assert not extra, f"component {k} uses unknown names {sorted(extra)}"
+            if extra:
+                raise MapError(f"component {k} uses unknown names {sorted(extra)}")
 
     def __call__(self, name: str) -> Expression:
         return self.comps[name]

@@ -511,6 +511,9 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
         # called once every value is computed, so guards trip as before
         return any(abs(x - y) > 10 * tol for x, y in zip(a, b))
 
+    def values(e, cols, n):
+        return list(ex._point_values(e, cols, n))
+
     chain_checks = []
     for i, o1 in enumerate(atlas.overlaps):
         for j, o2 in enumerate(atlas.overlaps):
@@ -519,21 +522,20 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
             # sample src points whose image lands in o2's box
             pts = {n: c.tolist() for n, c in
                    ex._halton_set(o1.src_box, trials, seed).items()}
-            img = {n: ex._column_values(o1.fwd.comps[n], pts, trials)
+            img = {n: values(o1.fwd.comps[n], pts, trials)
                    for n in o1.fwd.dst.names if n in o2.src_box}
             inside = _inside(img, o2.src_box, trials)
             if not any(inside):
                 continue
             pts, img = _select(pts, inside), _select(img, inside)
             k = sum(inside)
-            g_prod = [a * b for a, b in zip(ex._column_values(o2.g, img, k),
-                                            ex._column_values(o1.g, pts, k))]
+            g_prod = [a * b for a, b in zip(values(o2.g, img, k),
+                                            values(o1.g, pts, k))]
             if o1.src == o2.dst:
                 # closed chain: composite must be the identity with g = 1
                 bad = far(g_prod, [1.0] * k)
                 for n in o2.fwd.dst.names:
-                    bad |= far(ex._column_values(o2.fwd.comps[n], img, k),
-                               pts[n])
+                    bad |= far(values(o2.fwd.comps[n], img, k), pts[n])
                 checked, ok = k, not bad
             else:
                 # open chain: compare against a declared composite overlap
@@ -546,12 +548,11 @@ def atlas_check(atlas: LineBundleAtlas, *, s_name: str = "s",
                     if not m:
                         continue
                     pt3, img3 = _select(pts, sel), _select(img, sel)
-                    bad = far(ex._column_values(o3.g, pt3, m),
+                    bad = far(values(o3.g, pt3, m),
                               [g for g, s in zip(g_prod, sel) if s])
                     for n in o2.fwd.dst.names:
-                        comp = ex._column_values(o2.fwd.comps[n], img3, m)
-                        dec = ex._column_values(o3.fwd.comps[n], pt3, m)
-                        bad |= far(comp, dec)
+                        bad |= far(values(o2.fwd.comps[n], img3, m),
+                                   values(o3.fwd.comps[n], pt3, m))
                     ok = ok and not bad
                     checked += m
             if checked:

@@ -216,14 +216,14 @@ print(bool(sys.modules.get("numpy")))
 
 @pytest.mark.parametrize("flat", ["curved", "flat"])
 def test_moebius_atlas_reports_equal_with_and_without_numpy(flat):
-    """A process that cannot import numpy runs the chain checks on floats
-    by the walk; one with numpy loaded, by the array pass.  The reports are
-    equal, every float by its repr."""
+    """A one-shot command that cannot import numpy runs the chain checks on
+    columns of Python floats; a process with numpy loaded, by the array
+    pass.  The reports are equal, every float by its repr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = []
-    # without numpy, and without a limit on the points walked
+    # a one-shot command (as cli.main marks it) without numpy
     for prelude in ("import sys; sys.modules['numpy'] = None\n"
-                    "import jacobisigma.expr as ex; ex._walk_left = 10 ** 9\n",
+                    "import jacobisigma.expr as ex; ex._one_shot = True\n",
                     "import numpy\n"):
         out.append(subprocess.run(
             [sys.executable, "-c", prelude + MOEBIUS_REPORTS, flat],

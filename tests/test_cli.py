@@ -178,6 +178,9 @@ BAD_INPUTS = {
         "x0, t = -exp(u/4 + t/2)/2", "x0, t = 0")),
     # a transition factor with a pole where a chain check evaluates it
     "pole_in_transition_factor": ("check", _pole_in_transition_factor()),
+    # an overlap whose forward map lacks a target coordinate
+    "overlap_missing_fwd": ("check", (ROOT / "structures/moebius-atlas.ini")
+                            .read_text().replace("fwd.x = x\n", "", 1)),
     # a chart coordinate named after the constant pi
     "coordinate_named_pi": ("check", "[structure]\nkind = jacobi\n\n"
                             "[chart]\nnames = x, y, pi\n\n"
@@ -278,6 +281,7 @@ def test_duplicate_chart_rejected_under_python_O(tmp_path):
     ("scale_zero_on_grid", "scale field drops below"),
     ("scale_changes_sign", "changes sign"),
     ("coordinate_named_pi", "reserved name"),
+    ("overlap_missing_fwd", "[overlap:1] need every target coordinate"),
     ("morphism_unknown_map", "[maps] names unknown target coordinates ['w']"),
     ("morphism_unknown_fiber", "[fiber] names unknown generators ['dw']"),
     ("morphism_misspelt_fiber", "[fiber] names unknown generators ['dq']"),
@@ -538,7 +542,10 @@ def test_cli_import_leaves_scipy_out():
     (["example", "almost-poisson-family1"], False),
     (["example", "almost-poisson-family2"], False),
     (["example", "ex1-groupoid"], False),
-    (["example", "contact-k"], True)])                 # exp: numpy's
+    (["example", "contact-k"], True),                  # exp: numpy's
+    # sample sets of any size stay on floats
+    (["check", "structures/contact-k1.ini", "--trials", "4096"], False),
+    (["check", "structures/moebius-atlas.ini", "--trials", "600"], False)])
 def test_a_command_on_rational_trees_leaves_numpy_out(tmp_path, argv,
                                                       loads_numpy):
     """The allocator is set, through ctypes, where the grid module sigma is

@@ -396,8 +396,9 @@ def test_is_zero_and_max_abs_equal_a_pointwise_reference(e, rewrite, box,
 def _sampled(cases):
     """Per case (tree text, box, trials, seed, tol): what sample_values
     yields, then is_zero, then max_abs, each float by its bits and an error
-    as [type, message, point].  Self-contained, so that a child process can
-    run its source."""
+    as [type, message, point], then whether the column pass went through
+    without a guard trip.  Self-contained, so that a child process can run
+    its source."""
     from jacobisigma import expr as ex
 
     def exact(v):
@@ -421,9 +422,11 @@ def _sampled(cases):
     for text, box, trials, seed, tol in cases:
         e, kw = ex.parse(text), dict(trials=trials, seed=seed)
         box = {n: tuple(b) for n, b in box.items()}
+        cols = ex._halton_set(box, trials, seed)
         res.append([outcome(lambda: ex.sample_values(e, box, **kw)),
                     outcome(lambda: [ex.is_zero(e, box, tol=tol, **kw)]),
-                    outcome(lambda: [ex.max_abs(e, box, **kw)])])
+                    outcome(lambda: [ex.max_abs(e, box, **kw)]),
+                    isinstance(ex._point_values(e, cols, trials), list)])
     return res
 
 
@@ -462,18 +465,21 @@ def _walk_cases(draw):
 @example([["sin(x*y)", {"x": (1e200, 1e220), "y": (1e200, 1e220)}, 8, 3,
            0],                                                 # sin(inf)
           ["cos(x*y) + sin(x)^3", {"x": (-4, 4), "y": (-100, 100)}, 70, 5,
-           1e-9]])
+           1e-9],
+          # a constant over a column, and a denominator of exactly 1e-12,
+          # which no guard refuses
+          ["3/(x + 2) - y/(1 + x^2)", {"x": (-1, 1), "y": (0, 2)}, 16, 5, 0],
+          ["1/x", {"x": (1e-12, 1e-12)}, 3, 1, 0]])
 def test_the_walk_without_numpy_equals_the_array_pass(cases):
-    """A process in which numpy cannot be imported samples trees without
-    exp or log (sin and cos by libm) by the walk of halton_point and the
-    scalar evaluate; this one, with numpy loaded, by the array pass.
+    """A one-shot command in which numpy cannot be imported samples trees
+    without exp or log (sin and cos by libm) by one pass over columns of
+    Python floats; this process, with numpy loaded, by the array pass.
     Values, verdicts, witnesses and the first error are the same, bit for
-    bit."""
+    bit, and a guard trips on the columns where it trips on the arrays."""
     cases = json.loads(json.dumps(cases))
-    # a process without numpy, and without the limit on the points a
-    # one-shot command walks (_walk_left)
+    # a one-shot command (as cli.main marks it) without numpy
     code = ("import json, sys\nsys.modules['numpy'] = None\n"
-            "import jacobisigma.expr\njacobisigma.expr._walk_left = 10 ** 9\n"
+            "import jacobisigma.expr\njacobisigma.expr._one_shot = True\n"
             + inspect.getsource(_sampled)
             + "print(json.dumps(_sampled(json.loads(sys.stdin.read()))))")
     child = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases),
@@ -484,18 +490,18 @@ def test_the_walk_without_numpy_equals_the_array_pass(cases):
     assert json.loads(child.stdout) == _sampled(cases)
 
 
-@pytest.mark.parametrize("walk_left, walked_sets", [
-    ("ex._WALK_POINTS", 8),          # a one-shot command, as cli.main sets
-    ("0", 0)])                       # a library process
-def test_a_process_walks_its_limit_then_takes_the_array_pass(walk_left,
-                                                             walked_sets):
-    """Without numpy a one-shot command walks at most _WALK_POINTS points
-    and a library process none; the next set imports numpy for the array
-    pass, so a process that samples on pays the import once.  Values and
-    witnesses are those of the array pass throughout."""
+@pytest.mark.parametrize("one_shot, float_sets", [
+    (True, 20),                     # a one-shot command, as cli.main sets
+    (False, 0)], ids=["command", "library"])
+def test_a_command_samples_on_floats_and_a_library_on_arrays(one_shot,
+                                                             float_sets):
+    """Without numpy a one-shot command samples every set on columns of
+    Python floats, however many, and never loads numpy; a library process
+    loads numpy at its first set, for the array pass.  Values and witnesses
+    are those of the array pass throughout."""
     e, box = "x*y/(1 + x^2) - y^3 + pi*x", {"x": (-1.0, 1.0), "y": (0, 2)}
     code = ("import json, sys\nfrom jacobisigma import expr as ex\n"
-            f"ex._walk_left = {walk_left}\n"
+            f"ex._one_shot = {one_shot}\n"
             f"e, box, out = ex.parse({e!r}), {box!r}, []\n"
             "for seed in range(20):\n"
             "    m, w = ex.max_abs(e, box, trials=512, seed=seed)\n"
@@ -506,9 +512,8 @@ def test_a_process_walks_its_limit_then_takes_the_array_pass(walk_left,
                                Path(__file__).resolve().parents[1] / "src")),
                            capture_output=True, text=True, check=True)
     got = json.loads(child.stdout)
-    assert ex._WALK_POINTS == 8 * 512
     assert ([loaded for *_, loaded in got]
-            == [False] * walked_sets + [True] * (20 - walked_sets))
+            == [False] * float_sets + [True] * (20 - float_sets))
     for seed, (m, w, _) in enumerate(got):
         want = ex.max_abs(ex.parse(e), box, trials=512, seed=seed)
         assert [m, w] == [want[0].hex(), want[1]]
